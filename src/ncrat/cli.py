@@ -18,13 +18,16 @@ import numpy as np
 from . import expr as ex
 from .expr import ParseError
 from .numkernel import (
+    RANK_TOL,
     MatrixTuple,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    matrix_from_json,
     matrix_to_json,
+    norm_max,
     random_tuple,
 )
-from .realization import AffinePencil, DomainError, build_realization, eval_expr
+from .realization import DomainError, build_realization, eval_expr
 from .pencil import HomogeneousPencil, is_full
 from .extension import (
     BoundExhaustedError,
@@ -36,13 +39,7 @@ from .extension import (
 )
 from .domainrep import NotInvertibleError, widen_hdom
 from .gnsbasis import SamplingError, build_R, build_basis
-from .psatz import (
-    MonicHermitianPencil,
-    build_sdp,
-    certify_qm,
-    find_violation,
-    optimize_eig,
-)
+from .psatz import build_sdp, certify_qm, find_violation, optimize_eig
 from .sdpcore import export_sdpa
 
 EXIT_OK = 0
@@ -112,17 +109,29 @@ def _load_tuple(path: str) -> MatrixTuple:
     return MatrixTuple.from_json(_load_json(path))
 
 
-def _load_homogeneous(path: str) -> HomogeneousPencil:
+def _load_pencil(path: str, *keys: str) -> tuple[HomogeneousPencil, dict]:
+    """The pencil stored under the first of `keys` present in the file, and
+    the whole JSON object.  "coeffs" holds a homogeneous pencil, "M" an affine
+    one (constant first) and "H" the hermitian H1..Hd of a monic LMI, which
+    is returned as the pencil (I, H1..Hd)."""
     obj = _load_json(path)
-    if "coeffs" in obj:
-        return HomogeneousPencil.from_json(obj)
-    raise ValueError(f"{path}: expected a homogeneous pencil ('coeffs' key)")
+    key = next((k for k in keys if k in obj), None)
+    if key is None:
+        raise ValueError(f"{path}: expected a pencil under "
+                         + " or ".join(repr(k) for k in keys))
+    mats = [matrix_from_json(c) for c in obj[key]]
+    if key == "H":
+        for H in mats:
+            if norm_max(H - H.conj().T) > 1e-12 * max(1.0, norm_max(H)):
+                raise ValueError("pencil coefficients must be hermitian")
+        mats.insert(0, np.eye(len(mats[0]) if mats else 1))
+    return HomogeneousPencil(tuple(mats)), obj
 
 
 def _add_common(sp, level_default: int | None = None):
     sp.add_argument("--seed", type=int, default=_env_int("NCRAT_SEED", 0),
                     help="RNG seed (default 0, env NCRAT_SEED)")
-    sp.add_argument("--tol", type=float, default=_env_float("NCRAT_TOL", 1e-9),
+    sp.add_argument("--tol", type=float, default=_env_float("NCRAT_TOL", RANK_TOL),
                     help="rank/singularity tolerance (default 1e-9, env NCRAT_TOL)")
     if level_default is not None:
         sp.add_argument("--level", type=int,
@@ -224,12 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_lmi(arg) -> MonicHermitianPencil | None:
-    if arg is None:
-        return None
-    return MonicHermitianPencil.from_json(_load_json(arg))
-
-
 def _cmd_eval(args, report) -> int:
     X = _load_tuple(args.at)
     r = _load_expr(args.expr, args.d or X.d, args.split_adjoint)
@@ -248,10 +251,9 @@ def _cmd_realize(args, report) -> int:
 
 
 def _cmd_full(args, report) -> int:
-    obj = _load_json(args.pencil)
-    pencil = (AffinePencil.from_json(obj) if "M" in obj
-              else HomogeneousPencil.from_json(obj))
-    rep = is_full(pencil, trials=args.trials, seed=args.seed, tol=args.tol)
+    pencil, obj = _load_pencil(args.pencil, "M", "coeffs")
+    rep = is_full(pencil, trials=args.trials, seed=args.seed, tol=args.tol,
+                  affine="M" in obj)
     _emit(rep.to_json())
     report(f"verdict: {rep.verdict} (probed size {rep.size_probed}, "
            f"{rep.trials_used} trials)")
@@ -260,13 +262,13 @@ def _cmd_full(args, report) -> int:
 
 def _cmd_extend(args, report) -> int:
     if args.kind == "side":
-        L = _load_homogeneous(args.pencil)
+        L, _ = _load_pencil(args.pencil, "coeffs")
         X = _load_tuple(args.x)
         out = extend_side(L, X, seed=args.seed, trials=args.trials, tol=args.tol)
         _emit(out.to_json())
         report(f"side extension n={out.n}, sigma_min={out.sigma_min:.3e}")
     elif args.kind == "square":
-        L = _load_homogeneous(args.pencil)
+        L, _ = _load_pencil(args.pencil, "coeffs")
         Y, Yp, Ypp = _load_tuple(args.y), _load_tuple(args.yp), _load_tuple(args.ypp)
         out = extend_square(L, Y, Yp, Ypp, mode=args.mode, seed=args.seed,
                             trials=args.trials, tol=args.tol)
@@ -296,11 +298,10 @@ def _cmd_widen(args, report) -> int:
     r = _load_expr(args.expr, args.d, args.split_adjoint)
     override = None
     if args.pencil:
-        obj = _load_json(args.pencil)
+        M, obj = _load_pencil(args.pencil, "M")
         u = [complex(re, im) for re, im in obj["u"]]
         v = [complex(re, im) for re, im in obj["v"]]
-        coeffs = AffinePencil.from_json(obj).coeffs
-        override = (u, coeffs, v)
+        override = (u, M.coeffs, v)
     w = widen_hdom(r, pencil_override=override, d=args.d, seed=args.seed)
     d = args.d or max(ex.variables_used(r), default=1)
     rng = np.random.default_rng(args.seed)
@@ -345,7 +346,7 @@ def _cmd_basis(args, report) -> int:
 
 def _cmd_certify(args, report) -> int:
     r = _load_expr(args.expr, args.d, args.split_adjoint)
-    L = _load_lmi(args.lmi)
+    L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
     cert = certify_qm(r, L, level=args.level, seed=args.seed, d=args.d)
     if cert is None:
         witness = find_violation(r, L, seed=args.seed, d=args.d)
@@ -369,7 +370,7 @@ def _cmd_certify(args, report) -> int:
 
 def _cmd_optimize(args, report) -> int:
     r = _load_expr(args.expr, args.d, args.split_adjoint)
-    L = _load_lmi(args.lmi)
+    L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
     direction = "sup" if args.sup else "inf"
     res = optimize_eig(r, L, direction, level=args.level, seed=args.seed,
                        d=args.d)
@@ -384,7 +385,7 @@ def _cmd_optimize(args, report) -> int:
 
 def _cmd_export_sdpa(args, report) -> int:
     r = _load_expr(args.expr, args.d, args.split_adjoint)
-    L = _load_lmi(args.lmi)
+    L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
     direction = None if args.direction == "feas" else args.direction
     prob = build_sdp(r, L, level=args.level, direction=direction,
                      seed=args.seed, d=args.d)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, ExprMatrix
-from .numkernel import MatrixTuple, random_tuple
+from .numkernel import MatrixTuple, nonsingular, random_tuple
 from .realization import build_realization, eval_expr, DomainError
 
 __all__ = [
@@ -90,7 +90,7 @@ def _probably_invertible(m: ExprMatrix, d: int, seed=0, trials: int = 12) -> boo
         except DomainError:
             continue
         s = np.linalg.svd(val, compute_uv=False)
-        if s[0] > 0 and s[-1] > 1e-9 * s[0]:
+        if nonsingular(s[-1], s[0]):
             return True
     return False
 

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import Expr
-from .numkernel import MatrixTuple, cholesky, lu_solve, random_tuple, sigma_extremes, svd_rank
+from .numkernel import (
+    RANK_TOL,
+    MatrixTuple,
+    cholesky,
+    lu_solve,
+    matrix_to_json,
+    nonsingular,
+    random_tuple,
+    sigma_extremes,
+    svd_rank,
+)
 from .pencil import HomogeneousPencil, is_full, rank_conditions, rect_eval
 from .realization import Realization, build_realization, in_domain
 
@@ -32,8 +42,6 @@ __all__ = [
     "extend_nonhermitian",
     "eps_assembly",
 ]
-
-EXT_TOL = 1e-9
 
 
 class HypothesisError(ValueError):
@@ -113,7 +121,7 @@ class SideExtension:
 
 
 def extend_side(L: HomogeneousPencil, X: MatrixTuple, seed=0,
-                trials: int = 16, tol: float = EXT_TOL,
+                trials: int = 16, tol: float = RANK_TOL,
                 forced_n: int | None = None) -> SideExtension:
     """Complete a full-column-rank rectangular evaluation to an invertible
     square one by sampling [[X, Xhat], [0, Xcheck]] at growing sizes."""
@@ -144,7 +152,7 @@ def extend_side(L: HomogeneousPencil, X: MatrixTuple, seed=0,
             MX = rect_eval(L, cand.completed(X))
             smin, smax = sigma_extremes(MX)
             sigma_log.append(smin)
-            if smax > 0 and smin > tol * smax:
+            if nonsingular(smin, smax, tol):
                 return SideExtension(Xhat, Xcheck, n, smin)
             if n == 0:
                 break  # nothing random at n=0
@@ -250,7 +258,7 @@ def _split_rows(T: MatrixTuple, *heights: int) -> list[MatrixTuple]:
 
 def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
                   Ypp: MatrixTuple, mode: str = "sampling", seed=0,
-                  trials: int = 16, tol: float = EXT_TOL) -> SquareExtension:
+                  trials: int = 16, tol: float = RANK_TOL) -> SquareExtension:
     """Complete (Y, Y', Y'') satisfying the rank conditions to an invertible
     square pencil evaluation.
 
@@ -273,7 +281,7 @@ def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
                 T = _theorem_tuple(Y, Yp, Ypp, Z)
                 smin, smax = sigma_extremes(rect_eval(L, T))
                 sigma_log.append(smin)
-                if smax > 0 and smin > tol * smax:
+                if nonsingular(smin, smax, tol):
                     return SquareExtension(n, Z, smin, bound)
         raise BoundExhaustedError(sigma_log)
 
@@ -303,7 +311,7 @@ def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
 
     T5 = _mat5_tuple(Y, Yp, Ypp, parts)
     smin, smax = sigma_extremes(rect_eval(L, T5))
-    if not (smax > 0 and smin > tol * smax):
+    if not nonsingular(smin, smax, tol):
         raise BoundExhaustedError([smin])
     n = T5.rows - ell
     Z = MatrixTuple(tuple(t[ell:, ell:] for t in T5.matrices))
@@ -321,19 +329,12 @@ class HermitianExtension:
     sigma_min: float
 
     def to_json(self) -> dict:
-        from .numkernel import matrix_to_json
-
         return {
             "E": matrix_to_json(self.E),
             "Z": self.Z.to_json(),
             "Xtilde": self.Xtilde.to_json(),
             "sigma_min": self.sigma_min,
         }
-
-
-def _realization_homog(rep: Realization) -> HomogeneousPencil:
-    """The affine pencil as a homogeneous pencil in 1+d variables."""
-    return HomogeneousPencil(rep.pencil.coeffs)
 
 
 def _stack_id(ell: int, extra: int) -> np.ndarray:
@@ -343,7 +344,6 @@ def _stack_id(ell: int, extra: int) -> np.ndarray:
 def _check_rect_ranks(rep: Realization, X: MatrixTuple, Y: MatrixTuple | None,
                       tol: float) -> None:
     """Full-rank conditions on the stacked/concatenated pencil evaluations."""
-    Lh = _realization_homog(rep)
     ell = X.rows
     d = X.d
     if Y is None or Y.rows == 0:
@@ -352,14 +352,14 @@ def _check_rect_ranks(rep: Realization, X: MatrixTuple, Y: MatrixTuple | None,
     col = MatrixTuple((_stack_id(ell, m),) + tuple(np.vstack([X[j], Y[j]]) for j in range(d)))
     row = MatrixTuple((_stack_id(ell, m).T,) + tuple(np.hstack([X[j], Y[j].conj().T]) for j in range(d)))
     e = rep.size
-    rank_c, _ = svd_rank(rect_eval(Lh, col), tol)
-    rank_r, _ = svd_rank(rect_eval(Lh, row), tol)
+    rank_c, _ = svd_rank(rect_eval(rep.pencil, col), tol)
+    rank_r, _ = svd_rank(rect_eval(rep.pencil, row), tol)
     if rank_c != e * ell or rank_r != e * ell:
         raise HypothesisError("realization pencil rank conditions fail at (X, Y)")
 
 
 def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
-                     trials: int = 16, tol: float = EXT_TOL,
+                     trials: int = 16, tol: float = RANK_TOL,
                      d: int | None = None) -> HermitianExtension:
     """Extend a hermitian tuple X, reachable through the rectangular block Y,
     to a hermitian tuple in the hermitian domain of r.
@@ -382,12 +382,9 @@ def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
         return HermitianExtension(np.zeros((0, 0), dtype=complex), empty, X, smin)
 
     _check_rect_ranks(rep, X, Y, tol)
-    M = rep.pencil
     rng = np.random.default_rng(_derive(seed, 7))
     bound = remark_bound(rep.size, ell, m)
     sigma_log: list[float] = []
-    from .numkernel import kron as _kron
-
     for n in _grow_schedule(max(m, 1), rep.size, bound):
         for _ in range(trials):
             G0 = random_tuple(1, n, n, mode="hermitian", rng=rng)[0]
@@ -397,12 +394,11 @@ def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
             except Exception:
                 continue
             Zp = [random_tuple(1, n, n, mode="hermitian", rng=rng)[0] for _ in range(d)]
-            A = _kron(M.coeffs[0], _blockdiag(np.eye(ell), Z0))
-            for j in range(d):
-                A += _kron(M.coeffs[j + 1], _embed(X[j], Y[j], Zp[j], n))
-            smin, smax = sigma_extremes(A)
+            T = MatrixTuple((_blockdiag(np.eye(ell), Z0),)
+                            + tuple(_embed(X[j], Y[j], Zp[j], n) for j in range(d)))
+            smin, smax = sigma_extremes(rect_eval(rep.pencil, T))
             sigma_log.append(smin)
-            if not (smax > 0 and smin > tol * smax):
+            if not nonsingular(smin, smax, tol):
                 continue
             E = lu_solve(C, np.eye(n))
             Zmats = tuple(E @ Zj @ E.conj().T for Zj in Zp)
@@ -437,7 +433,7 @@ def _embed(Xj: np.ndarray, Yj: np.ndarray, Zj: np.ndarray, n: int) -> np.ndarray
 
 
 def extend_nonhermitian(r: Expr, X: MatrixTuple, seed=0, trials: int = 16,
-                        tol: float = EXT_TOL, d: int | None = None) -> MatrixTuple:
+                        tol: float = RANK_TOL, d: int | None = None) -> MatrixTuple:
     """Complete a rectangular m x l tuple (l <= m) to a square tuple in dom r
     by sampling the trailing n x (n-l) block."""
     m, ell = X.rows, X.cols
@@ -446,9 +442,8 @@ def extend_nonhermitian(r: Expr, X: MatrixTuple, seed=0, trials: int = 16,
     if d is None:
         d = X.d
     rep = build_realization(r, d)
-    Lh = _realization_homog(rep)
-    stacked = MatrixTuple((_stack_id(ell, m - ell),) + tuple(X.matrices))
-    rank, _ = svd_rank(rect_eval(Lh, stacked), tol)
+    stacked = MatrixTuple((_stack_id(ell, m - ell),) + X.matrices)
+    rank, _ = svd_rank(rect_eval(rep.pencil, stacked), tol)
     if rank != rep.size * ell:
         raise HypothesisError("stacked pencil evaluation is column-rank deficient")
 

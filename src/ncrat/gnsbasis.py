@@ -17,7 +17,14 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .numkernel import MatrixTuple, hermitian_eig, matrix_to_json, norm_max, random_tuple
+from .numkernel import (
+    RANK_TOL,
+    MatrixTuple,
+    hermitian_eig,
+    matrix_to_json,
+    norm_max,
+    random_tuple,
+)
 from .realization import DomainError, eval_expr
 
 __all__ = [
@@ -31,7 +38,6 @@ __all__ = [
     "inner_product",
 ]
 
-RANK_TOL = 1e-9
 NORM_CAP = 1e6
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "MatrixTuple",
     "lu_solve",
     "svd_rank",
+    "nonsingular",
     "random_tuple",
     "kron",
     "hermitian_eig",
@@ -29,6 +30,8 @@ __all__ = [
     "matrix_from_json",
 ]
 
+# relative singular-value threshold for every rank, fullness and
+# invertibility test
 RANK_TOL = 1e-9
 PIVOT_TOL = 1e-13
 
@@ -98,6 +101,13 @@ def sigma_extremes(A) -> tuple[float, float]:
         return 0.0, 0.0
     s = np.linalg.svd(A, compute_uv=False)
     return float(s[-1]), float(s[0])
+
+
+def nonsingular(smin: float, smax: float, tol: float = RANK_TOL) -> bool:
+    """The relative invertibility test smin > tol * smax on the extreme
+    singular values of one SVD; smax is floored at 1e-300, so a zero matrix
+    never passes."""
+    return smin > tol * max(smax, 1e-300)
 
 
 def kron(A, B) -> np.ndarray:

@@ -1,5 +1,13 @@
-"""Homogeneous/affine pencil utilities: rectangular evaluation, probabilistic
-fullness testing, and the rank conditions used by the extension theorems."""
+"""The pencil type: rectangular evaluation, probabilistic fullness testing,
+and the rank conditions used by the extension theorems.
+
+One type serves three roles.  A homogeneous pencil L1 x1 + ... + Ld xd is
+evaluated at (X1..Xd).  An affine pencil M0 + M1 x1 + ... + Md xd (a
+realization) has the constant as coefficient 0, and a monic hermitian LMI
+I + H1 x1 + ... + Hd xd is the pencil (I_e, H1..Hd); both are evaluated at
+(I_n, X1..Xd) by `affine_eval`, and their variable count leaves out the
+constant slot.
+"""
 
 from __future__ import annotations
 
@@ -8,30 +16,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
+    RANK_TOL,
     MatrixTuple,
     kron,
     matrix_from_json,
     matrix_to_json,
+    nonsingular,
     random_tuple,
     sigma_extremes,
     svd_rank,
 )
-from .realization import AffinePencil
 
 __all__ = [
     "HomogeneousPencil",
     "FullnessReport",
     "rect_eval",
+    "affine_eval",
     "is_full",
     "rank_conditions",
 ]
 
-FULL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class HomogeneousPencil:
-    """L1 x1 + ... + Ld xd with e x e coefficients (no constant term)."""
+    """L1 x1 + ... + Ld xd with e x e coefficients.
+
+    An affine pencil or a monic LMI keeps its constant as coefficient 0.
+    """
 
     coeffs: tuple[np.ndarray, ...]
 
@@ -71,13 +82,11 @@ def rect_eval(L: HomogeneousPencil, X: MatrixTuple) -> np.ndarray:
     return out
 
 
-def _square_eval(pencil, X: MatrixTuple) -> np.ndarray:
-    """Evaluate an affine or homogeneous pencil at a square tuple."""
-    if isinstance(pencil, AffinePencil):
-        from .realization import pencil_eval
-
-        return pencil_eval(pencil, X)
-    return rect_eval(pencil, X)
+def affine_eval(L: HomogeneousPencil, X: MatrixTuple) -> np.ndarray:
+    """L0 o I_n + sum_j Lj o Xj: L at (I_n, X1..Xd) for a square tuple X."""
+    if X.rows != X.cols:
+        raise ValueError("affine pencil evaluation needs a square tuple")
+    return rect_eval(L, MatrixTuple((np.eye(X.rows),) + X.matrices))
 
 
 @dataclass(frozen=True)
@@ -98,17 +107,19 @@ class FullnessReport:
         }
 
 
-def is_full(pencil, trials: int = 20, seed=0, tol: float = FULL_TOL) -> FullnessReport:
+def is_full(pencil: HomogeneousPencil, trials: int = 20, seed=0,
+            tol: float = RANK_TOL, affine: bool = False) -> FullnessReport:
     """Probabilistic fullness test at the guaranteed witness size max(1, e-1).
 
     A single generic invertible evaluation certifies fullness; if every trial
     is singular, det vanishes identically at that size with probability 1 and
-    the pencil is not full.
+    the pencil is not full.  With affine=True coefficient 0 is the constant
+    term and the witness tuple has one matrix per remaining coefficient.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     e = pencil.size
-    d = pencil.nvars
+    d = pencil.nvars - 1 if affine else pencil.nvars
     if all(np.all(c == 0) for c in pencil.coeffs):
         return FullnessReport("degenerate", None, 0.0, 0, 0)
     n = max(1, e - 1)
@@ -116,16 +127,16 @@ def is_full(pencil, trials: int = 20, seed=0, tol: float = FULL_TOL) -> Fullness
     last_smin = 0.0
     for t in range(trials):
         X = random_tuple(d, n, n, mode="generic", rng=rng)
-        MX = _square_eval(pencil, X)
+        MX = affine_eval(pencil, X) if affine else rect_eval(pencil, X)
         smin, smax = sigma_extremes(MX)
         last_smin = smin
-        if smax > 0 and smin > tol * smax:
+        if nonsingular(smin, smax, tol):
             return FullnessReport("full", X, smin, t + 1, n)
     return FullnessReport("not-full-probabilistic", None, last_smin, trials, n)
 
 
 def rank_conditions(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
-                    Ypp: MatrixTuple, tol: float = FULL_TOL):
+                    Ypp: MatrixTuple, tol: float = RANK_TOL):
     """Full column rank of L([Y; Y']) and full row rank of L([Y  Y'']).
 
     Y is l x l, Y' is m x l, Y'' is l x m.  Returns (col_ok, row_ok, sigmas).

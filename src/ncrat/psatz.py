@@ -2,8 +2,9 @@
 spectrahedra.
 
 A hermitian rational function r is certified nonnegative on the spectrahedron
-of a monic hermitian pencil L by finding PSD Gram matrices H (over a function
-basis w of level l) and G (over C^e tensor w) with
+of a monic hermitian pencil L(X) = I + sum_j H_j o X_j, passed as the pencil
+(I, H_1..H_d), by finding PSD Gram matrices H (over a function basis w of
+level l) and G (over C^e tensor w) with
 
     r = w* H w + sum over pencil entries of the G-localized part,
 
@@ -23,15 +24,16 @@ import scipy.linalg
 from . import expr as ex
 from .expr import Expr
 from .numkernel import (
+    RANK_TOL,
     MatrixTuple,
     hermitian_eig,
     kron,
-    matrix_from_json,
     matrix_to_json,
     norm_max,
     random_tuple,
     svd_rank,
 )
+from .pencil import HomogeneousPencil, affine_eval
 from .realization import DomainError, eval_expr
 from .gnsbasis import (
     FunctionBasis,
@@ -43,7 +45,6 @@ from .gnsbasis import (
 from .sdpcore import SDPConfig, SDPConstraint, SDPProblem, solve
 
 __all__ = [
-    "MonicHermitianPencil",
     "QMCertificate",
     "OptResult",
     "certify_qm",
@@ -53,54 +54,24 @@ __all__ = [
     "check_identity",
 ]
 
-RANK_TOL = 1e-9
 EIG_TOL = 1e-7
 RESIDUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class MonicHermitianPencil:
-    """L(X) = I + sum_j H_j o X_j with hermitian coefficients."""
-
-    coeffs: tuple[np.ndarray, ...]  # H_1..H_d
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(H, dtype=complex) for H in self.coeffs)
-        for H in mats:
-            if H.shape != mats[0].shape or H.shape[0] != H.shape[1]:
-                raise ValueError("pencil coefficients must be square, equal size")
-            if norm_max(H - H.conj().T) > 1e-12 * max(1.0, norm_max(H)):
-                raise ValueError("pencil coefficients must be hermitian")
-        object.__setattr__(self, "coeffs", mats)
-
-    @property
-    def size(self) -> int:
-        return self.coeffs[0].shape[0] if self.coeffs else 1
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    @staticmethod
-    def trivial(d: int = 0) -> "MonicHermitianPencil":
-        return MonicHermitianPencil(tuple(np.zeros((1, 1)) for _ in range(d)))
-
-    def is_trivial(self) -> bool:
-        return self.size == 1 and all(np.all(H == 0) for H in self.coeffs)
-
-    def eval(self, X: MatrixTuple) -> np.ndarray:
-        n = X.rows
-        out = np.eye(self.size * n, dtype=complex)
-        for j in range(min(self.nvars, X.d)):
-            out += kron(self.coeffs[j], X[j])
-        return out
-
-    def to_json(self) -> dict:
-        return {"e": self.size, "H": [matrix_to_json(H) for H in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "MonicHermitianPencil":
-        return MonicHermitianPencil(tuple(matrix_from_json(H) for H in obj["H"]))
+def _pad_lmi(r: Expr, L: HomogeneousPencil | None, d: int | None):
+    """The variable count d (inferred from r and L unless given) and the monic
+    LMI (I, H1..Hk) padded with zero coefficients to d variables.  The LMI
+    comes back as None when it is absent or trivial (1 x 1 with zero
+    coefficients): then there is no localizing block."""
+    if d is None:
+        d = max(max(ex.variables_used(r), default=0),
+                L.nvars - 1 if L is not None else 0, 1)
+    if L is None or (L.size == 1 and all(np.all(H == 0) for H in L.coeffs[1:])):
+        return d, None
+    if L.nvars - 1 > d:
+        raise ValueError(f"LMI has {L.nvars - 1} variables, the problem has {d}")
+    zero = np.zeros_like(L.coeffs[0])
+    return d, HomogeneousPencil(L.coeffs + (zero,) * (d + 1 - L.nvars))
 
 
 @dataclass(frozen=True)
@@ -198,21 +169,23 @@ class _Rows:
     rhs: list
 
 
-def _assemble_rows(basis: FunctionBasis, L: MonicHermitianPencil, samples,
-                   use_loc: bool, mu_sign: float | None, target: Expr) -> _Rows:
+def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, samples,
+                   mu_sign: float | None, target: Expr) -> _Rows:
     """Evaluation-equality rows: for each sample and matrix entry,
     tr(H A) + tr(G B) + mu_sign*mu*delta = target entry, split into real and
-    imaginary parts with hermitian coefficient matrices."""
+    imaginary parts with hermitian coefficient matrices.  The G part is
+    present when the LMI L is."""
     N = basis.dim
-    e = L.size
+    use_loc = L is not None
     rows = _Rows([], [], [], [])
     for X in samples:
         n = X.rows
         W = [eval_expr(b, X) for b in basis.exprs]
         tgt = eval_expr(target, X)
         if use_loc:
+            e = L.size
             Lblocks = [[None] * e for _ in range(e)]
-            LX = L.eval(X)
+            LX = affine_eval(L, X)
             for i in range(e):
                 for j in range(e):
                     Lblocks[i][j] = LX[i * n:(i + 1) * n, j * n:(j + 1) * n]
@@ -337,7 +310,7 @@ def _extract_vectors(G: np.ndarray, basis: FunctionBasis, e: int, tol: float):
     return tuple(vectors)
 
 
-def _reconstruct(basis: FunctionBasis, L: MonicHermitianPencil, H, G,
+def _reconstruct(basis: FunctionBasis, L: HomogeneousPencil | None, H, G,
                  X: MatrixTuple) -> np.ndarray:
     n = X.rows
     N = basis.dim
@@ -346,7 +319,7 @@ def _reconstruct(basis: FunctionBasis, L: MonicHermitianPencil, H, G,
     out = Wcat.conj().T @ kron(H, np.eye(n)) @ Wcat
     if G is not None:
         e = L.size
-        LX = L.eval(X)
+        LX = affine_eval(L, X)
         for i in range(e):
             for j in range(e):
                 Lij = LX[i * n:(i + 1) * n, j * n:(j + 1) * n]
@@ -357,7 +330,10 @@ def _reconstruct(basis: FunctionBasis, L: MonicHermitianPencil, H, G,
 
 
 def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed) -> float:
-    rng = np.random.default_rng(seed)
+    """Worst relative residual of the certificate at held-out samples, drawn
+    from a stream independent of the one that chose the SDP samples."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=0xC0FFEE if seed is None else seed).spawn(2)[1])
     held = sample_points(R, [1, 2, 3], rng, per_size=3, d=d)
     worst = 0.0
     for X in held:
@@ -367,25 +343,38 @@ def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed) -> floa
     return worst
 
 
-def _setup(r: Expr, L: MonicHermitianPencil, level: int, seed, d=None):
+def _setup(r: Expr, L: HomogeneousPencil | None, level: int, seed, d=None):
     if level < 1:
         raise ValueError("level must be >= 1")
-    if d is None:
-        d = max(max(ex.variables_used(r), default=0), L.nvars, 1)
+    d, L = _pad_lmi(r, L, d)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     _check_hermitian_function(r, d, rng)
     R = _augment_R(r, d)
     basis = build_basis(R, level, seed=seed, d=d)
     samples = list(basis.ip.samples)
     carath = 1 + _verify_injectivity(R, 2 * level + 1, samples, d, seed, rng)
-    return d, R, basis, samples, carath
+    return d, L, R, basis, samples, carath
+
+
+def _objective(r: Expr, direction: str | None):
+    """(target, mu_sign, obj_free) of the membership SDP: r itself for
+    certification (direction None); for sup, mu - r in Q reads
+    tr(H A) + tr(G B) - mu*delta = -r with mu minimized; for inf, r - mu in Q
+    reads tr(H A) + tr(G B) + mu*delta = r with mu maximized."""
+    if direction is None:
+        return r, None, 0.0
+    if direction == "sup":
+        return ex.mul(ex.scalar(-1), r), -1.0, 1.0
+    if direction == "inf":
+        return r, 1.0, -1.0
+    raise ValueError("direction must be None, 'sup' or 'inf'")
 
 
 def _build_problem(basis, L, samples, target, mu_sign, obj_free):
-    """Assemble the membership SDP; returns (problem, use_loc, linear
-    residual of the pruned equality system)."""
-    use_loc = not L.is_trivial()
-    rows = _assemble_rows(basis, L, samples, use_loc, mu_sign, target)
+    """Assemble the membership SDP; returns (problem, linear residual of the
+    pruned equality system).  L is the padded LMI or None."""
+    use_loc = L is not None
+    rows = _assemble_rows(basis, L, samples, mu_sign, target)
     keep, lin_resid = _prune_rows(rows)
     N = basis.dim
     dims = (N, N * L.size) if use_loc else (N,)
@@ -404,58 +393,39 @@ def _build_problem(basis, L, samples, target, mu_sign, obj_free):
         obj_blocks = tuple(np.zeros((n, n)) for n in dims)
         of = np.array([obj_free])
     prob = SDPProblem(dims, nfree, obj_blocks, of, tuple(cons))
-    return prob, use_loc, lin_resid
+    return prob, lin_resid
 
 
-def build_sdp(r: Expr, L: MonicHermitianPencil | None = None, level: int = 1,
+def build_sdp(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
               direction: str | None = None, seed=0,
               d: int | None = None) -> SDPProblem:
     """The SDP posed by certify_qm (direction None) or optimize_eig."""
-    if L is None:
-        L = MonicHermitianPencil.trivial()
-    dd, R, basis, samples, _ = _setup(r, L, level, seed, d)
-    if direction is None:
-        prob, _, _ = _build_problem(basis, L, samples, r, None, 0.0)
-    elif direction == "sup":
-        prob, _, _ = _build_problem(basis, L, samples,
-                                    ex.mul(ex.scalar(-1), r), -1.0, 1.0)
-    elif direction == "inf":
-        prob, _, _ = _build_problem(basis, L, samples, r, 1.0, -1.0)
-    else:
-        raise ValueError("direction must be None, 'sup' or 'inf'")
+    target, mu_sign, obj_free = _objective(r, direction)
+    _, L, _, basis, samples, _ = _setup(r, L, level, seed, d)
+    prob, _ = _build_problem(basis, L, samples, target, mu_sign, obj_free)
     return prob
 
 
-def _solve_qm(basis, L, samples, target, mu_sign, obj_free, d, R, seed,
-              sdp_config=None):
-    prob, use_loc, lin_resid = _build_problem(basis, L, samples, target,
-                                              mu_sign, obj_free)
-    sol = solve(prob, sdp_config)
-    return sol, use_loc, lin_resid
-
-
-def certify_qm(r: Expr, L: MonicHermitianPencil | None = None, level: int = 1,
+def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
                seed=0, d: int | None = None,
                sdp_config: SDPConfig | None = None,
                residual_tol: float = RESIDUAL_TOL) -> QMCertificate | None:
-    """Certify r in the level-`level` quadratic module of L, or return None.
+    """Certify r in the level-`level` quadratic module of the monic LMI
+    L = (I, H1..Hk), or return None.
 
     None means not-certified at this level, which is weaker than "not
     positive": the hierarchy is only complete at level 2 tau(r) + 1.
     """
-    if L is None:
-        L = MonicHermitianPencil.trivial()
-    d, R, basis, samples, carath = _setup(r, L, level, seed, d)
-    sol, use_loc, lin_resid = _solve_qm(basis, L, samples, r, None, 0.0, d, R,
-                                        seed, sdp_config)
+    d, L, R, basis, samples, carath = _setup(r, L, level, seed, d)
+    prob, lin_resid = _build_problem(basis, L, samples, r, None, 0.0)
+    sol = solve(prob, sdp_config)
     if lin_resid > 1e-7:
         return None
     if sol.status not in ("optimal",):
         return None
     H = sol.blocks[0]
-    G = sol.blocks[1] if use_loc else None
-    resid = _validate(basis, L, H, G, r, R, d, seed=np.random.SeedSequence(
-        entropy=0xC0FFEE if seed is None else seed).spawn(2)[1])
+    G = sol.blocks[1] if L is not None else None
+    resid = _validate(basis, L, H, G, r, R, d, seed)
     if resid > residual_tol:
         return None
     squares = _extract_squares(H, basis, EIG_TOL)
@@ -463,27 +433,21 @@ def certify_qm(r: Expr, L: MonicHermitianPencil | None = None, level: int = 1,
     return QMCertificate(basis, H, G, squares, vectors, resid, level, carath)
 
 
-def optimize_eig(r: Expr, L: MonicHermitianPencil | None = None,
+def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
                  direction: str = "sup", level: int = 1, seed=0,
                  d: int | None = None,
                  sdp_config: SDPConfig | None = None) -> OptResult:
-    """Best eigenvalue bound of r over the spectrahedron of L at this level.
+    """Best eigenvalue bound of r over the spectrahedron of the monic LMI
+    L = (I, H1..Hk) at this level.
 
     sup: minimal mu with mu - r in Q_level; inf: maximal mu with r - mu there.
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
-    if L is None:
-        L = MonicHermitianPencil.trivial()
-    d, R, basis, samples, carath = _setup(r, L, level, seed, d)
-    # sup: mu*delta - (QM terms) = r  =>  QM rows + mu*(-delta)... arranged as
-    # tr(H A) + tr(G B) - mu*delta = -r ; inf: tr(H A)+tr(G B)+mu*delta = r
-    if direction == "sup":
-        target, mu_sign, obj_free = ex.mul(ex.scalar(-1), r), -1.0, 1.0
-    else:
-        target, mu_sign, obj_free = r, 1.0, -1.0
-    sol, use_loc, lin_resid = _solve_qm(basis, L, samples, target, mu_sign,
-                                        obj_free, d, R, seed, sdp_config)
+    target, mu_sign, obj_free = _objective(r, direction)
+    d, L, R, basis, samples, carath = _setup(r, L, level, seed, d)
+    prob, lin_resid = _build_problem(basis, L, samples, target, mu_sign, obj_free)
+    sol = solve(prob, sdp_config)
     if sol.status == "infeasible":
         return OptResult(float("nan"), "infeasible-at-level", None, level, sol.gap)
     if sol.status == "unbounded":
@@ -493,38 +457,35 @@ def optimize_eig(r: Expr, L: MonicHermitianPencil | None = None,
         return OptResult(float("nan"), "solver-failure", None, level, sol.gap)
     mu = float(sol.free[0])
     H = sol.blocks[0]
-    G = sol.blocks[1] if use_loc else None
+    G = sol.blocks[1] if L is not None else None
     cert_target = (ex.sub(ex.scalar(mu), r) if direction == "sup"
                    else ex.sub(r, ex.scalar(mu)))
-    resid = _validate(basis, L, H, G, cert_target, R, d,
-                      seed=np.random.SeedSequence(
-                          entropy=0xC0FFEE if seed is None else seed).spawn(2)[1])
+    resid = _validate(basis, L, H, G, cert_target, R, d, seed)
     squares = _extract_squares(H, basis, EIG_TOL)
     vectors = _extract_vectors(G, basis, L.size, EIG_TOL) if G is not None else ()
     cert = QMCertificate(basis, H, G, squares, vectors, resid, level, carath)
     return OptResult(mu, "optimal", cert, level, sol.gap)
 
 
-def find_violation(r: Expr, L: MonicHermitianPencil | None = None,
+def find_violation(r: Expr, L: HomogeneousPencil | None = None,
                    budget: int = 200, max_size: int = 4, seed=0,
                    d: int | None = None,
                    tol: float = 1e-9) -> MatrixTuple | None:
-    """Random search for X in the spectrahedron with r(X) not PSD.
+    """Random search for X in the spectrahedron of the monic LMI
+    L = (I, H1..Hk) with r(X) not PSD.
 
     Returns the first witness found, or None (inconclusive) on budget
     exhaustion.
     """
-    if L is None:
-        L = MonicHermitianPencil.trivial()
-    if d is None:
-        d = max(max(ex.variables_used(r), default=0), L.nvars, 1)
+    d, L = _pad_lmi(r, L, d)
     rng = np.random.default_rng(seed)
     for t in range(budget):
         n = 1 + t % max_size
         X = random_tuple(d, n, n, mode="hermitian", rng=rng)
-        LX = L.eval(X)
-        if np.linalg.eigvalsh((LX + LX.conj().T) / 2)[0] < -1e-12:
-            continue
+        if L is not None:
+            LX = affine_eval(L, X)
+            if np.linalg.eigvalsh((LX + LX.conj().T) / 2)[0] < -1e-12:
+                continue
         try:
             val = eval_expr(r, X)
         except DomainError:

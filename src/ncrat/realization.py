@@ -14,28 +14,26 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .numkernel import (
+    RANK_TOL,
     MatrixTuple,
-    SingularMatrixError,
     kron,
     lu_solve,
-    matrix_from_json,
     matrix_to_json,
+    nonsingular,
+    random_tuple,
     sigma_extremes,
 )
+from .pencil import HomogeneousPencil, affine_eval
 
 __all__ = [
-    "AffinePencil",
     "Realization",
     "DomainError",
     "build_realization",
-    "pencil_eval",
     "eval_expr",
     "realization_eval",
     "in_domain",
     "likely_degenerate",
 ]
-
-SINGULAR_TOL = 1e-9
 
 
 class DomainError(ArithmeticError):
@@ -50,51 +48,9 @@ class DomainError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class AffinePencil:
-    """M0 + M1 x1 + ... + Md xd with e x e coefficients."""
-
-    coeffs: tuple[np.ndarray, ...]  # length d+1, M0 first
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(c, dtype=complex) for c in self.coeffs)
-        sizes = {c.shape for c in mats}
-        if len(sizes) != 1 or any(c.shape[0] != c.shape[1] for c in mats):
-            raise ValueError("pencil coefficients must be square and share a size")
-        object.__setattr__(self, "coeffs", mats)
-
-    @property
-    def size(self) -> int:
-        return self.coeffs[0].shape[0]
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs) - 1
-
-    def to_json(self) -> dict:
-        return {"e": self.size, "M": [matrix_to_json(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "AffinePencil":
-        return AffinePencil(tuple(matrix_from_json(c) for c in obj["M"]))
-
-
-def pencil_eval(M: AffinePencil, X: MatrixTuple) -> np.ndarray:
-    """M0 o I_n + sum_j Mj o Xj for a square tuple X."""
-    if X.rows != X.cols:
-        raise ValueError("affine pencil evaluation needs a square tuple")
-    if X.d != M.nvars:
-        raise ValueError(f"pencil has {M.nvars} variables, tuple has {X.d}")
-    n = X.rows
-    out = kron(M.coeffs[0], np.eye(n))
-    for j in range(X.d):
-        out += kron(M.coeffs[j + 1], X[j])
-    return out
-
-
-@dataclass(frozen=True)
 class Realization:
     u: np.ndarray
-    pencil: AffinePencil
+    pencil: HomogeneousPencil  # affine: M0 (constant) first, then M1..Md
     v: np.ndarray
     source: Expr
 
@@ -120,7 +76,7 @@ def build_realization(r: Expr, d: int | None = None) -> Realization:
     if d is None:
         d = max(ex.variables_used(r), default=0)
     u, coeffs, v = _build(r, d)
-    return Realization(u, AffinePencil(tuple(coeffs)), v, r)
+    return Realization(u, HomogeneousPencil(tuple(coeffs)), v, r)
 
 
 def _zeros(e: int, d: int) -> list[np.ndarray]:
@@ -176,12 +132,12 @@ def _build(r: Expr, d: int):
 
 
 def realization_eval(rep: Realization, X: MatrixTuple,
-                     tol: float = SINGULAR_TOL) -> np.ndarray:
+                     tol: float = RANK_TOL) -> np.ndarray:
     """(u* o I) M(X)^{-1} (v o I); raises on a singular pencil evaluation."""
     n = X.rows
-    MX = pencil_eval(rep.pencil, X)
+    MX = affine_eval(rep.pencil, X)
     smin, smax = sigma_extremes(MX)
-    if smin <= tol * max(smax, 1e-300):
+    if not nonsingular(smin, smax, tol):
         raise DomainError(rep.source, smin)
     rhs = kron(rep.v.reshape(-1, 1), np.eye(n))
     sol = lu_solve(MX, rhs)
@@ -191,12 +147,12 @@ def realization_eval(rep: Realization, X: MatrixTuple,
 
 def _safe_inverse(value: np.ndarray, node: Expr, tol: float) -> np.ndarray:
     smin, smax = sigma_extremes(value)
-    if smin <= tol * max(smax, 1e-300):
+    if not nonsingular(smin, smax, tol):
         raise DomainError(node, smin)
     return lu_solve(value, np.eye(value.shape[0]))
 
 
-def eval_expr(r: Expr, X: MatrixTuple, tol: float = SINGULAR_TOL) -> np.ndarray:
+def eval_expr(r: Expr, X: MatrixTuple, tol: float = RANK_TOL) -> np.ndarray:
     """Recursive tree evaluation at a square tuple.
 
     Raises DomainError naming the innermost singular inverse node.
@@ -222,7 +178,7 @@ def eval_expr(r: Expr, X: MatrixTuple, tol: float = SINGULAR_TOL) -> np.ndarray:
 
 
 def in_domain(r: Expr, X: MatrixTuple, d: int | None = None,
-              tol: float = SINGULAR_TOL,
+              tol: float = RANK_TOL,
               rep: Realization | None = None) -> tuple[bool, float]:
     """Whether the realization pencil of r is invertible at X.
 
@@ -232,9 +188,9 @@ def in_domain(r: Expr, X: MatrixTuple, d: int | None = None,
         if d is None:
             d = max(max(ex.variables_used(r), default=0), X.d)
         rep = build_realization(r, d)
-    MX = pencil_eval(rep.pencil, X)
+    MX = affine_eval(rep.pencil, X)
     smin, smax = sigma_extremes(MX)
-    return smin > tol * max(smax, 1e-300), smin
+    return nonsingular(smin, smax, tol), smin
 
 
 def likely_degenerate(r: Expr, d: int | None = None, trials: int = 32,
@@ -248,8 +204,6 @@ def likely_degenerate(r: Expr, d: int | None = None, trials: int = 32,
         d = max(ex.variables_used(r), default=1)
     rep = build_realization(r, d)
     rng = np.random.default_rng(seed)
-    from .numkernel import random_tuple
-
     sizes = list(range(1, max(rep.size, 2)))
     for t in range(trials):
         n = sizes[t % len(sizes)]

@@ -280,6 +280,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
                 dS = [Rdb - dA for Rdb, dA in zip(Rd, dAtz)]
                 dX = [_herm((Rcb - Xb @ dSb) @ Si)
                       for Rcb, Xb, dSb, Si in zip(Rc, X, dS, Sinv)]
+                if not all(np.isfinite(D).all() for D in [sol, *dX, *dS]):
+                    raise np.linalg.LinAlgError("non-finite search direction")
                 return dX, dy, dz, dS
 
             # predictor (affine scaling)

@@ -14,12 +14,12 @@ from ncrat.gnsbasis import build_R, build_basis
 from ncrat.numkernel import (
     MatrixTuple,
     herm_deviation,
+    matrix_to_json,
     random_tuple,
     sigma_extremes,
 )
 from ncrat.pencil import HomogeneousPencil, is_full, rank_conditions, rect_eval
 from ncrat.psatz import (
-    MonicHermitianPencil,
     certify_qm,
     check_identity,
     optimize_eig,
@@ -35,7 +35,8 @@ from ncrat.sdpcore import SDPConstraint, SDPProblem, realify, solve
 
 from conftest import in_domain_tuple, random_expr
 
-INTERVAL = MonicHermitianPencil((np.array([[1.0, 0.0], [0.0, -1.0]]),))
+# the monic pencil (I, H1) of 1 + diag(1, -1) x1: eigenvalues of x1 in [-1, 1]
+INTERVAL = HomogeneousPencil((np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]])))
 
 
 def _report(n, ok, detail):
@@ -309,7 +310,8 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     y1_path = tmp_path / "y1.json"
     y1_path.write_text(json.dumps(y1.to_json()))
     lmi_path = tmp_path / "lmi.json"
-    lmi_path.write_text(json.dumps(INTERVAL.to_json()))
+    lmi_path.write_text(json.dumps({"e": 2, "H": [matrix_to_json(H)
+                                                  for H in INTERVAL.coeffs[1:]]}))
     herm1 = random_tuple(2, 1, 1, mode="hermitian", seed=9)
     herm_path = tmp_path / "h.json"
     herm_path.write_text(json.dumps(herm1.to_json()))

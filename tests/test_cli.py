@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncrat.cli import EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from ncrat.numkernel import MatrixTuple, random_tuple
+from ncrat.numkernel import MatrixTuple, matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil
 from ncrat.sdpcore import import_sdpa
 
@@ -33,6 +33,11 @@ def fixtures(tmp_path):
     dump("tall.json", tall.to_json())
     interval = {"H": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]]}
     dump("interval.json", interval)
+    dump("nonherm.json", {"H": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]})
+    # affine [[1, x1], [x2, 1]]: M0 = I, then one coefficient per variable
+    affine = (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+              np.array([[0.0, 0.0], [1.0, 0.0]]))
+    dump("affine.json", {"e": 2, "M": [matrix_to_json(m) for m in affine]})
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -71,6 +76,26 @@ class TestExitCodes:
         assert obj["certified"] is False
         assert obj["witness"] is not None
 
+    def test_certify_nan_in_solve_not_input_error(self, capsys):
+        # the SDP solve of x1^3 hits a non-finite search direction
+        code, out, _ = _run(capsys, ["certify", "x1*x1*x1", "--seed", "0"])
+        assert code == EXIT_NEGATIVE
+        obj = json.loads(out)
+        assert obj["certified"] is False
+        if obj["witness"] is not None:
+            X = MatrixTuple.from_json(obj["witness"])
+            assert np.linalg.eigvalsh(X[0] @ X[0] @ X[0])[0] < 0
+
+    def test_nonhermitian_lmi_usage(self, capsys, fixtures):
+        code, _, err = _run(capsys, ["certify", "x1", "--lmi", fixtures["nonherm.json"]])
+        assert code == EXIT_USAGE
+        assert "hermitian" in err
+
+    def test_affine_pencil_to_extend_side_usage(self, capsys, fixtures):
+        code, _, _ = _run(capsys, ["extend", "side", "--pencil", fixtures["affine.json"],
+                                   "--x", fixtures["tall.json"]])
+        assert code == EXIT_USAGE
+
     def test_certify_positive(self, capsys, fixtures):
         code, out, _ = _run(capsys, ["certify", "x1*x1", "--seed", "0"])
         assert code == EXIT_OK
@@ -91,6 +116,14 @@ class TestCommands:
         assert code == EXIT_OK and json.loads(out)["verdict"] == "full"
         code, out, _ = _run(capsys, ["full", fixtures["notfull.json"]])
         assert json.loads(out)["verdict"] == "not-full-probabilistic"
+
+    def test_full_affine(self, capsys, fixtures):
+        # an "M" file is tested as M0 o I + sum Mj o Xj: d = 2 witness matrices
+        code, out, _ = _run(capsys, ["full", fixtures["affine.json"]])
+        obj = json.loads(out)
+        assert code == EXIT_OK and obj["verdict"] == "full"
+        assert obj["witness"]["d"] == 2
+        assert len(obj["witness"]["matrices"]) == 2
 
     def test_extend_side(self, capsys, fixtures):
         code, out, _ = _run(capsys, ["extend", "side",
@@ -114,6 +147,13 @@ class TestCommands:
                                      "--lmi", fixtures["interval.json"]])
         assert code == EXIT_OK
         assert json.loads(out)["mu"] == pytest.approx(1.0, abs=1e-5)
+
+    def test_optimize_lmi_in_fewer_variables(self, capsys, fixtures):
+        # the interval LMI constrains x1 only; x2 is free, so inf is -1 at x2 = 0
+        code, out, _ = _run(capsys, ["optimize", "x2*x2+x1", "--inf",
+                                     "--lmi", fixtures["interval.json"]])
+        assert code == EXIT_OK
+        assert json.loads(out)["mu"] == pytest.approx(-1.0, abs=1e-6)
 
     def test_export_sdpa(self, capsys, fixtures):
         out_path = fixtures["dir"] + "/prob.dat-s"

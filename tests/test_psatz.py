@@ -1,11 +1,15 @@
 """Quadratic-module certificates, eigenvalue optimization, identity checking."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ncrat import expr as ex
+from ncrat.cli import _load_pencil
+from ncrat.numkernel import matrix_to_json, random_tuple
+from ncrat.pencil import HomogeneousPencil, affine_eval
 from ncrat.psatz import (
-    MonicHermitianPencil,
     build_sdp,
     certify_qm,
     check_identity,
@@ -13,30 +17,39 @@ from ncrat.psatz import (
     optimize_eig,
 )
 
-# L(x1) = 1 - x1^2 as a monic pencil: eigenvalues of x1 in [-1, 1]
-INTERVAL = MonicHermitianPencil((np.array([[1.0, 0.0], [0.0, -1.0]]),))
+# L(x1) = 1 + diag(1, -1) x1 as the monic pencil (I, H1): eigenvalues of x1
+# in [-1, 1]
+INTERVAL = HomogeneousPencil((np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]])))
+
+
+def _write_lmi(path, Hs):
+    path.write_text(json.dumps({"H": [matrix_to_json(H) for H in Hs]}))
+    return str(path)
 
 
 class TestMonicHermitianPencil:
     def test_trivial(self):
-        L = MonicHermitianPencil.trivial()
-        assert L.is_trivial() and L.size == 1
+        # the 1 x 1 zero LMI adds no localizing block
+        L = HomogeneousPencil((np.eye(1), np.zeros((1, 1))))
+        assert L.size == 1
+        r = ex.parse("x1*x1", d=1)
+        assert build_sdp(r, L).block_dims == build_sdp(r).block_dims
 
     def test_eval(self, rng):
-        from ncrat.numkernel import random_tuple
-
         X = random_tuple(1, 2, 2, mode="hermitian", rng=rng)
-        val = INTERVAL.eval(X)
+        val = affine_eval(INTERVAL, X)
         assert val.shape == (4, 4)
         assert np.allclose(val[:2, :2], np.eye(2) + X[0])
 
-    def test_nonhermitian_rejected(self):
+    def test_nonhermitian_rejected(self, tmp_path):
+        path = _write_lmi(tmp_path / "l.json", [np.array([[0.0, 1.0], [0.0, 0.0]])])
         with pytest.raises(ValueError):
-            MonicHermitianPencil((np.array([[0.0, 1.0], [0.0, 0.0]]),))
+            _load_pencil(path, "H")
 
-    def test_json_round_trip(self):
-        L = MonicHermitianPencil.from_json(INTERVAL.to_json())
-        assert np.array_equal(L.coeffs[0], INTERVAL.coeffs[0])
+    def test_json_round_trip(self, tmp_path):
+        L, _ = _load_pencil(_write_lmi(tmp_path / "l.json", INTERVAL.coeffs[1:]), "H")
+        for a, b in zip(L.coeffs, INTERVAL.coeffs):
+            assert np.array_equal(a, b)
 
 
 class TestCertify:

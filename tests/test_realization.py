@@ -1,18 +1,20 @@
 """Linear representations: construction sizes, evaluation agreement, domains."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ncrat import expr as ex
+from ncrat.cli import _load_pencil
 from ncrat.numkernel import MatrixTuple, random_tuple
+from ncrat.pencil import HomogeneousPencil, affine_eval
 from ncrat.realization import (
-    AffinePencil,
     DomainError,
     build_realization,
     eval_expr,
     in_domain,
     likely_degenerate,
-    pencil_eval,
     realization_eval,
 )
 
@@ -98,16 +100,20 @@ class TestDomain:
 
 class TestPencil:
     def test_affine_pencil_eval(self, rng):
-        M = AffinePencil((np.eye(2), np.array([[0, 1], [0, 0]], dtype=float)))
+        # affine pencils keep the constant M0 as coefficient 0
+        M = HomogeneousPencil((np.eye(2), np.array([[0, 1], [0, 0]], dtype=float)))
         X = random_tuple(1, 3, 3, mode="hermitian", rng=rng)
-        out = pencil_eval(M, X)
+        out = affine_eval(M, X)
         assert out.shape == (6, 6)
         assert np.allclose(out[:3, 3:], X[0])
 
-    def test_json_round_trip(self):
-        M = AffinePencil((np.eye(2), np.diag([1.0, -1.0])))
-        M2 = AffinePencil.from_json(M.to_json())
-        for a, b in zip(M.coeffs, M2.coeffs):
+    def test_json_round_trip(self, tmp_path):
+        # the "M" format written by a realization reads back as the same pencil
+        rep = build_realization(ex.parse("inv(1 - x1*x2)", d=2))
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(rep.to_json()))
+        M2, _ = _load_pencil(str(path), "M")
+        for a, b in zip(rep.pencil.coeffs, M2.coeffs):
             assert np.array_equal(a, b)
 
     def test_realization_json_fields(self):
