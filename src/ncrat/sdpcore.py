@@ -37,7 +37,7 @@ HERM_TOL = 1e-12
 
 
 def _herm(A: np.ndarray) -> np.ndarray:
-    return (A + A.conj().T) / 2
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def _check_herm(mats, what: str):
@@ -155,23 +155,33 @@ class SDPSolution:
         }
 
 
-def _apply_A(cons, X) -> np.ndarray:
+def _stack(cons, dims) -> list[np.ndarray]:
+    """Per block b, the (m, n_b^2) array whose row i is vec(A_ib)."""
+    return [np.array([con.blocks[k] for con in cons], dtype=complex).reshape(len(cons), n * n)
+            for k, n in enumerate(dims)]
+
+
+# Every A_ib is hermitian, so tr(A_ib Y) = vdot(A_ib, Y), and its real part is
+# the dot product of the float views (re, im interleaved) of the two arrays.
+
+def _apply_A(Af, X) -> np.ndarray:
     """A(X)_i = sum_b Re tr(A_ib X_b)."""
-    out = np.empty(len(cons))
-    for i, con in enumerate(cons):
-        out[i] = sum(float(np.trace(A @ Xb).real) for A, Xb in zip(con.blocks, X))
-    return out
+    return sum(Ab.view(float) @ Xb.ravel().view(float) for Ab, Xb in zip(Af, X))
 
 
-def _apply_At(cons, z, dims):
+def _apply_At(Af, z, dims):
     """A*(z) per block: sum_i z_i A_ib."""
-    out = [np.zeros((n, n), dtype=complex) for n in dims]
-    for zi, con in zip(z, cons):
-        if zi == 0:
-            continue
-        for b, A in enumerate(con.blocks):
-            out[b] += zi * A
-    return out
+    return [(z @ Ab.view(float)).view(complex).reshape(n, n) for Ab, n in zip(Af, dims)]
+
+
+def _normal_matrix(Af, X, Sinv) -> np.ndarray:
+    """HKM normal matrix M_ij = sum_b Re tr(A_ib herm(X_b A_jb S_b^-1))."""
+    M = 0.0
+    for Ab, Xb, Si in zip(Af, X, Sinv):
+        m, n = len(Ab), len(Xb)
+        H = _herm(Xb @ Ab.reshape(m, n, n) @ Si)
+        M = M + Ab.view(float) @ H.reshape(m, n * n).view(float).T
+    return M
 
 
 def _max_step(X, dX, frac: float) -> float:
@@ -198,18 +208,13 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
     C = [np.asarray(Cb) for Cb in p.obj_blocks]
 
     # row equilibration: scale each constraint to unit coefficient norm
-    rscale = np.ones(m)
-    cons = []
-    for i, con in enumerate(p.constraints):
-        nrm = np.sqrt(sum(np.linalg.norm(A) ** 2 for A in con.blocks)
-                      + np.linalg.norm(con.free) ** 2)
-        s = 1.0 / nrm if nrm > 0 else 1.0
-        rscale[i] = s
-        cons.append(SDPConstraint(tuple(s * A for A in con.blocks),
-                                  s * con.free, s * con.rhs))
-    cons = tuple(cons)
-    b = np.array([con.rhs for con in cons])
-    Bf = np.array([con.free for con in cons]).reshape(m, nf)
+    Af = _stack(p.constraints, dims)
+    Bf = np.array([con.free for con in p.constraints]).reshape(m, nf)
+    nrm = np.linalg.norm(np.hstack([Ab.view(float) for Ab in Af] + [Bf]), axis=1)
+    rscale = 1.0 / np.where(nrm > 0, nrm, 1.0)
+    Af = [rscale[:, None] * Ab for Ab in Af]
+    Bf = rscale[:, None] * Bf
+    b = rscale * np.array([con.rhs for con in p.constraints])
 
     scale = max(1.0, max((norm_max(Cb) for Cb in C), default=0.0),
                 norm_max(b) if m else 0.0)
@@ -224,8 +229,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
     best = None
     best_metric = np.inf
     for it in range(1, cfg.max_iter + 1):
-        rp = b - _apply_A(cons, X) - Bf @ y
-        Atz = _apply_At(cons, z, dims)
+        rp = b - _apply_A(Af, X) - Bf @ y
+        Atz = _apply_At(Af, z, dims)
         Rd = [Cb - Sb - Ab for Cb, Sb, Ab in zip(C, S, Atz)]
         rf = f - Bf.T @ z
         mu = sum(float(np.trace(Xb @ Sb).real) for Xb, Sb in zip(X, S)) / ntot
@@ -257,30 +262,25 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
                 L = np.linalg.cholesky(Sb)
                 Sinv.append(scipy.linalg.cho_solve((L, True), np.eye(Sb.shape[0])))
 
-            # normal matrix M_ij = Re tr(A_i X A_j S^-1), plus free-variable border
-            XAS = [[_herm(Xb @ A @ Si) for A, Xb, Si in zip(con.blocks, X, Sinv)]
-                   for con in cons]
-            M = np.empty((m, m))
-            for i, con in enumerate(cons):
-                for j in range(m):
-                    M[i, j] = sum(float(np.trace(A @ H).real)
-                                  for A, H in zip(con.blocks, XAS[j]))
+            # normal matrix, plus free-variable border
             K = np.zeros((m + nf, m + nf))
-            K[:m, :m] = M
+            K[:m, :m] = _normal_matrix(Af, X, Sinv)
             K[:m, m:] = Bf
             K[m:, :m] = Bf.T
 
             def newton(Rc):
                 base = [_herm((Rcb - Xb @ Rdb) @ Si)
                         for Rcb, Xb, Rdb, Si in zip(Rc, X, Rd, Sinv)]
-                h = np.concatenate([rp - _apply_A(cons, base), rf])
+                h = np.concatenate([rp - _apply_A(Af, base), rf])
                 sol = np.linalg.solve(K, h)
+                if not np.isfinite(sol).all():
+                    raise np.linalg.LinAlgError("non-finite search direction")
                 dz, dy = sol[:m], sol[m:]
-                dAtz = _apply_At(cons, dz, dims)
+                dAtz = _apply_At(Af, dz, dims)
                 dS = [Rdb - dA for Rdb, dA in zip(Rd, dAtz)]
                 dX = [_herm((Rcb - Xb @ dSb) @ Si)
                       for Rcb, Xb, dSb, Si in zip(Rc, X, dS, Sinv)]
-                if not all(np.isfinite(D).all() for D in [sol, *dX, *dS]):
+                if not all(np.isfinite(D).all() for D in [*dX, *dS]):
                     raise np.linalg.LinAlgError("non-finite search direction")
                 return dX, dy, dz, dS
 

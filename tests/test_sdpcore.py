@@ -7,6 +7,10 @@ from ncrat.numkernel import cholesky
 from ncrat.sdpcore import (
     SDPConstraint,
     SDPProblem,
+    _apply_A,
+    _apply_At,
+    _normal_matrix,
+    _stack,
     export_sdpa,
     import_sdpa,
     realify,
@@ -91,6 +95,20 @@ class TestSolve:
         cons = tuple(_con(Ai, rhs=bi) for Ai, bi in zip(A, b))
         return _simple(C, cons, dims=dims)
 
+    def test_no_constraints(self):
+        p = _simple([np.eye(2)], (), dims=(2,))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert abs(sol.objective) < 1e-8
+
+    def test_constraint_on_one_of_two_blocks(self):
+        # x = 2 on the 1x1 block; the 3x3 block has no constraint and tends to 0
+        cons = (_con([np.eye(1), np.zeros((3, 3))], rhs=2.0),)
+        p = _simple([np.eye(1), np.eye(3)], cons, dims=(1, 3))
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(2.0, abs=1e-8)
+
     def test_random_real_instances(self, rng):
         for _ in range(6):
             p = self._random_bounded(rng)
@@ -112,6 +130,72 @@ class TestSolve:
             assert abs(sol_c.objective - sol_r.objective) / denom <= 1e-7
             Xrec = recover_complex(sol_r.blocks[0])
             assert np.max(np.abs(Xrec - Xrec.conj().T)) <= 1e-8
+
+
+# Loop forms of the kernel's stacked operators, kept as references.
+
+def _ref_apply_A(cons, X):
+    return np.array([sum(np.trace(A @ Xb).real for A, Xb in zip(con.blocks, X))
+                     for con in cons])
+
+
+def _ref_apply_At(cons, z, dims):
+    out = [np.zeros((n, n), dtype=complex) for n in dims]
+    for zi, con in zip(z, cons):
+        for b, A in enumerate(con.blocks):
+            out[b] += zi * A
+    return out
+
+
+def _ref_normal_matrix(cons, X, Sinv):
+    def herm(A):
+        return (A + A.conj().T) / 2
+
+    H = [[herm(Xb @ A @ Si) for A, Xb, Si in zip(con.blocks, X, Sinv)] for con in cons]
+    return np.array([[sum(np.trace(A @ Hb).real for A, Hb in zip(ci.blocks, H[j]))
+                      for j in range(len(cons))] for ci in cons])
+
+
+class TestStackedOperators:
+    DIMS = (3, 2)
+    M = 5
+    TOL = 1e-12  # times the product of the operand norms
+
+    def _instance(self, rng, complex_):
+        def mat(n):
+            G = rng.standard_normal((n, n))
+            return G + 1j * rng.standard_normal((n, n)) if complex_ else G + 0j
+
+        def herm(n):
+            G = mat(n)
+            return (G + G.conj().T) / 2
+
+        def pd(n):
+            G = mat(n)
+            return G @ G.conj().T + np.eye(n)
+
+        cons = tuple(_con([herm(n) for n in self.DIMS]) for _ in range(self.M))
+        return cons, [pd(n) for n in self.DIMS], [pd(n) for n in self.DIMS]
+
+    @staticmethod
+    def _norm(blocks):
+        return np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_loop_reference(self, rng, complex_):
+        cons, X, Sinv = self._instance(rng, complex_)
+        z = rng.standard_normal(self.M)
+        Af = _stack(cons, self.DIMS)
+        a_norm = max(self._norm(con.blocks) for con in cons)
+        x_norm, s_norm = self._norm(X), self._norm(Sinv)
+
+        err = np.abs(_apply_A(Af, X) - _ref_apply_A(cons, X)).max()
+        assert err <= self.TOL * a_norm * x_norm
+        ref = _ref_apply_At(cons, z, self.DIMS)
+        for got, want in zip(_apply_At(Af, z, self.DIMS), ref):
+            assert np.abs(got - want).max() <= self.TOL * np.linalg.norm(z) * a_norm
+        err = np.abs(_normal_matrix(Af, X, Sinv) - _ref_normal_matrix(cons, X, Sinv)).max()
+        assert err <= self.TOL * a_norm ** 2 * x_norm * s_norm
 
 
 class TestValidation:
