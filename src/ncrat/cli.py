@@ -38,7 +38,7 @@ from .extension import (
     extend_square,
 )
 from .domainrep import NotInvertibleError, widen_hdom
-from .gnsbasis import SamplingError, build_R, build_basis
+from .gnsbasis import SamplingError, SingularGramError, build_R, build_basis
 from .psatz import build_sdp, certify_qm, find_violation, optimize_eig
 from .sdpcore import export_sdpa
 
@@ -50,6 +50,7 @@ EXIT_NUMERIC = 3
 _NUMERIC_ERRORS = (
     DomainError,
     SamplingError,
+    SingularGramError,
     SingularMatrixError,
     NotPositiveDefiniteError,
     BoundExhaustedError,
@@ -119,6 +120,8 @@ def _load_pencil(path: str, *keys: str) -> tuple[HomogeneousPencil, dict]:
     if key is None:
         raise ValueError(f"{path}: expected a pencil under "
                          + " or ".join(repr(k) for k in keys))
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{path}: {key!r} must be a list of matrices")
     mats = [matrix_from_json(c) for c in obj[key]]
     if key == "H":
         for H in mats:

@@ -6,6 +6,9 @@ evaluating every candidate word at hermitian sample tuples of growing size.
 A greedy rank-revealing sweep over the vectorized evaluations picks a maximal
 independent subset; by the local-global linear dependence principle this is a
 basis of V_l with probability 1.
+
+Each admitted sample carries an evaluation table: the values of R there, which
+admission computes anyway, and the values of words as prefix products of them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
     "EvalInnerProduct",
     "FunctionBasis",
     "SamplingError",
+    "SingularGramError",
+    "EvalTable",
     "build_R",
     "build_basis",
     "sample_points",
@@ -51,6 +56,19 @@ class SamplingError(RuntimeError):
             f"(blocking subexpression: {what})"
         )
         self.blocking = blocking
+
+
+class SingularGramError(RuntimeError):
+    """The Gram matrix of the selected basis is numerically singular: the rank
+    tolerance let dependent words into the basis."""
+
+    def __init__(self, dim: int, eig_min: float):
+        super().__init__(
+            f"singular Gram matrix of the {dim}-element basis (smallest "
+            f"correlation-normalized eigenvalue {eig_min:.3e})"
+        )
+        self.dim = dim
+        self.eig_min = eig_min
 
 
 @dataclass(frozen=True)
@@ -121,32 +139,73 @@ def default_weights(samples) -> tuple[float, ...]:
     return tuple(1.0 / (factorial(k + 1) * X.rows) for k, X in enumerate(samples))
 
 
-def inner_product(s1: Expr, s2: Expr, ip: EvalInnerProduct) -> complex:
+def _pairing(avals, bvals, ip: EvalInnerProduct) -> complex:
+    """phi(s2* s1) from the values of s1 (avals) and s2 (bvals) at the samples."""
     total = 0.0 + 0.0j
-    for X, w in zip(ip.samples, ip.weights):
-        a = eval_expr(s1, X)
-        b = eval_expr(s2, X)
+    for a, b, X, w in zip(avals, bvals, ip.samples, ip.weights):
         total += w * np.trace(b.conj().T @ a) / X.rows
     return complex(total)
 
 
+def inner_product(s1: Expr, s2: Expr, ip: EvalInnerProduct) -> complex:
+    return _pairing([eval_expr(s1, X) for X in ip.samples],
+                    [eval_expr(s2, X) for X in ip.samples], ip)
+
+
+class EvalTable:
+    """Values at one sample X of the elements of R and of the words over R.
+
+    A word is keyed by its index tuple into R (see `_words`): () is R[0] = 1,
+    (j,) is R[j], and a longer idx is the product of word idx[:-1] and
+    R[idx[-1]], filled on first use.  That is the product, in the same order,
+    that the tree evaluator computes for ex.mul(word, R[j]), so every value is
+    bit-for-bit eval_expr of the word.
+    """
+
+    def __init__(self, X: MatrixTuple, rvals: tuple[np.ndarray, ...]):
+        self.X = X
+        self.rvals = rvals
+        self._words: dict[tuple[int, ...], np.ndarray] = {}
+
+    @classmethod
+    def of(cls, R: SubexprSet, X: MatrixTuple) -> "EvalTable":
+        """The table at a sample where every element of R is defined."""
+        return cls(X, tuple(eval_expr(q, X) for q in R.exprs))
+
+    def word(self, idx: tuple[int, ...]) -> np.ndarray:
+        if len(idx) <= 1:
+            return self.rvals[idx[0] if idx else 0]
+        val = self._words.get(idx)
+        if val is None:
+            val = self.word(idx[:-1]) @ self.rvals[idx[-1]]
+            self._words[idx] = val
+        return val
+
+    def forget_words(self) -> None:
+        """Drop the stored word values; the R values stay, and a later lookup
+        fills the words it needs again."""
+        self._words.clear()
+
+
 def _admits(R: SubexprSet, X: MatrixTuple, cap: float = NORM_CAP):
-    """All elements of R defined at X with norms under the cap; returns the
-    blocking subexpression if not."""
+    """(table, None) when all elements of R are defined at X with norms under
+    the cap; (None, blocking subexpression) if not."""
+    vals = []
     for q in R.exprs:
         try:
             val = eval_expr(q, X)
         except DomainError as err:
-            return err.subexpr
+            return None, err.subexpr
         if norm_max(val) > cap:
-            return q
-    return None
+            return None, q
+        vals.append(val)
+    return EvalTable(X, tuple(vals)), None
 
 
 def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
-                  trial_budget: int = 200, d: int | None = None) -> list[MatrixTuple]:
+                  trial_budget: int = 200, d: int | None = None) -> list[EvalTable]:
     """Hermitian tuples of the given sizes in the common domain of R, found by
-    rejection sampling."""
+    rejection sampling, each with its evaluation table."""
     if d is None:
         d = max(R.d, 1)
     out = []
@@ -155,9 +214,9 @@ def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
         blocking = None
         for _ in range(trial_budget):
             X = random_tuple(d, n, n, mode="hermitian", rng=rng)
-            blk = _admits(R, X)
-            if blk is None:
-                out.append(X)
+            table, blk = _admits(R, X)
+            if table is not None:
+                out.append(table)
                 got += 1
                 if got == per_size:
                     break
@@ -169,10 +228,12 @@ def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
 
 
 def _words(R: SubexprSet, level: int):
-    """All products of at most `level` elements of R, structurally deduped.
+    """All products of at most `level` elements of R, structurally deduped,
+    each with its index tuple into R.
 
     Words are yielded by increasing length so that a basis extracted by an
-    in-order sweep at level l is a prefix of the one at level l+1.
+    in-order sweep at level l is a prefix of the one at level l+1.  The
+    prefix idx[:-1] of every word is itself a word.
     """
     one = R.exprs[0]
     seen = {ex.to_str(one)}
@@ -191,17 +252,6 @@ def _words(R: SubexprSet, level: int):
                 nxt.append((idx + (j,), prod))
         frontier = nxt
     return words
-
-
-def _eval_matrix(words, samples) -> np.ndarray:
-    """Vectorized evaluations: one column per word, rows stacked over samples."""
-    cols = []
-    for w, _ in words:
-        vec = []
-        for X in samples:
-            vec.append(eval_expr(w, X).ravel())
-        cols.append(np.concatenate(vec))
-    return np.array(cols).T
 
 
 def _greedy_select(A: np.ndarray, tol: float = RANK_TOL) -> list[int]:
@@ -233,10 +283,12 @@ def _greedy_select(A: np.ndarray, tol: float = RANK_TOL) -> list[int]:
 @dataclass(frozen=True)
 class FunctionBasis:
     """Numerically independent basis of V_level, with its evaluation inner
-    product and Gram matrix."""
+    product and Gram matrix.  indices[k] is the index tuple of exprs[k] over
+    the R it was built from, for lookups in that R's evaluation tables."""
 
     level: int
     exprs: tuple[Expr, ...]
+    indices: tuple[tuple[int, ...], ...]
     ip: EvalInnerProduct
     gram: np.ndarray
 
@@ -266,34 +318,47 @@ def build_basis(R: SubexprSet, level: int, seed=0, per_size: int = 3,
         raise ValueError("level must be >= 1")
     rng = np.random.default_rng(seed)
     words = _words(R, level)
-    samples = sample_points(R, [1], rng, per_size=per_size,
+    tables = []
+    M = None  # row k: the values of word k at all samples so far, raveled
+
+    def add_size(n: int) -> list[int]:
+        nonlocal M
+        new = sample_points(R, [n], rng, per_size=per_size,
                             trial_budget=trial_budget, d=d)
-    A = _eval_matrix(words, samples)
-    keep = _greedy_select(A, tol)
+        parts = [] if M is None else [M]
+        for t in new:
+            parts.append(np.array([t.word(idx).ravel() for _, idx in words]))
+            # M holds them now; the Gram needs only the basis words
+            t.forget_words()
+        tables.extend(new)
+        M = np.hstack(parts)
+        return _greedy_select(M.T, tol)
+
+    keep = add_size(1)
     stable = 0
     n = 2
     while stable < 2 and n <= max_size:
-        samples += sample_points(R, [n], rng, per_size=per_size,
-                                 trial_budget=trial_budget, d=d)
-        A = _eval_matrix(words, samples)
-        new_keep = _greedy_select(A, tol)
+        new_keep = add_size(n)
         stable = stable + 1 if len(new_keep) == len(keep) else 0
         keep = new_keep
         n += 1
-    ip = EvalInnerProduct(tuple(samples), default_weights(samples))
+    samples = tuple(t.X for t in tables)
+    ip = EvalInnerProduct(samples, default_weights(samples))
     basis = tuple(words[j][0] for j in keep)
+    indices = tuple(words[j][1] for j in keep)
     N = len(basis)
     if not compute_gram:
-        return FunctionBasis(level, basis, ip, np.zeros((0, 0)))
+        return FunctionBasis(level, basis, indices, ip, np.zeros((0, 0)))
+    vals = [[t.word(idx) for t in tables] for idx in indices]
     gram = np.zeros((N, N), dtype=complex)
     for i in range(N):
         for j in range(i, N):
-            gram[i, j] = inner_product(basis[j], basis[i], ip)
+            gram[i, j] = _pairing(vals[j], vals[i], ip)
             gram[j, i] = np.conj(gram[i, j])
     # positivity is scale-free: check the correlation-normalized Gram, which
     # sidesteps the huge dynamic range of the series weights
     dscale = 1.0 / np.sqrt(np.abs(np.diag(gram)))
     w, _ = hermitian_eig(gram * np.outer(dscale, dscale))
     if w[0] <= N * np.finfo(float).eps:
-        raise SamplingError(None, samples[-1].rows, trial_budget)
-    return FunctionBasis(level, basis, ip, gram)
+        raise SingularGramError(N, float(w[0]))
+    return FunctionBasis(level, basis, indices, ip, gram)

@@ -208,8 +208,20 @@ def matrix_to_json(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _json_entry(z, i: int, j: int) -> complex:
+    if (isinstance(z, list) and len(z) == 2
+            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in z)):
+        return complex(z[0], z[1])
+    raise ValueError(f"matrix entry [{i}][{j}] is {z!r}, expected a [re, im] pair of numbers")
+
+
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    """A complex matrix from its JSON form, rows of [re, im] pairs; raises
+    ValueError naming the first malformed entry."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"matrix {rows!r} is not a list of rows")
+    return np.array([[_json_entry(z, i, j) for j, z in enumerate(row)]
+                     for i, row in enumerate(rows)], dtype=complex)
 
 
 def _complex_gauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .numkernel import (
 from .pencil import HomogeneousPencil, affine_eval
 from .realization import DomainError, eval_expr
 from .gnsbasis import (
+    EvalTable,
     FunctionBasis,
     SubexprSet,
     build_R,
@@ -169,18 +170,19 @@ class _Rows:
     rhs: list
 
 
-def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, samples,
+def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
                    mu_sign: float | None, target: Expr) -> _Rows:
-    """Evaluation-equality rows: for each sample and matrix entry,
-    tr(H A) + tr(G B) + mu_sign*mu*delta = target entry, split into real and
-    imaginary parts with hermitian coefficient matrices.  The G part is
-    present when the LMI L is."""
+    """Evaluation-equality rows: for each sample (given by its evaluation
+    table) and matrix entry, tr(H A) + tr(G B) + mu_sign*mu*delta = target
+    entry, split into real and imaginary parts with hermitian coefficient
+    matrices.  The G part is present when the LMI L is."""
     N = basis.dim
     use_loc = L is not None
     rows = _Rows([], [], [], [])
-    for X in samples:
+    for table in tables:
+        X = table.X
         n = X.rows
-        W = [eval_expr(b, X) for b in basis.exprs]
+        W = [table.word(idx) for idx in basis.indices]
         tgt = eval_expr(target, X)
         if use_loc:
             e = L.size
@@ -244,9 +246,9 @@ def _prune_rows(rows: _Rows, tol: float = RANK_TOL):
     return keep, resid
 
 
-def _separation_rank(exprs, samples, tol: float = RANK_TOL) -> int:
-    cols = [np.concatenate([eval_expr(b, X).ravel() for X in samples])
-            for b in exprs]
+def _separation_rank(indices, tables, tol: float = RANK_TOL) -> int:
+    cols = [np.concatenate([t.word(idx).ravel() for t in tables])
+            for idx in indices]
     A = np.array(cols).T
     # column normalization: injectivity is scale-free, conditioning is not
     norms = np.linalg.norm(A, axis=0)
@@ -255,15 +257,16 @@ def _separation_rank(exprs, samples, tol: float = RANK_TOL) -> int:
     return rank
 
 
-def _verify_injectivity(R: SubexprSet, level: int, samples: list, d: int,
+def _verify_injectivity(R: SubexprSet, level: int, tables: list, d: int,
                         seed, rng, tol: float = RANK_TOL) -> int:
-    """Rank check: evaluations at the sample set separate V_{level}; the
-    sample list is grown in place if it does not.  Returns dim V_{level}."""
+    """Rank check: evaluations at the samples of the tables separate
+    V_{level}; the table list is grown in place if they do not.  Returns
+    dim V_{level}."""
     big = build_basis(R, level, seed=seed, d=d, compute_gram=False)
     for _ in range(4):
-        if _separation_rank(big.exprs, samples, tol) == big.dim:
+        if _separation_rank(big.indices, tables, tol) == big.dim:
             return big.dim
-        samples += sample_points(R, [2, 3, 4], rng, per_size=2, d=d)
+        tables += sample_points(R, [2, 3, 4], rng, per_size=2, d=d)
     raise RuntimeError(
         f"sample set does not separate the level-{level} product space "
         f"(dim {big.dim})"
@@ -311,10 +314,10 @@ def _extract_vectors(G: np.ndarray, basis: FunctionBasis, e: int, tol: float):
 
 
 def _reconstruct(basis: FunctionBasis, L: HomogeneousPencil | None, H, G,
-                 X: MatrixTuple) -> np.ndarray:
+                 table: EvalTable) -> np.ndarray:
+    X = table.X
     n = X.rows
-    N = basis.dim
-    W = [eval_expr(b, X) for b in basis.exprs]
+    W = [table.word(idx) for idx in basis.indices]
     Wcat = np.vstack(W)  # (N n) x n
     out = Wcat.conj().T @ kron(H, np.eye(n)) @ Wcat
     if G is not None:
@@ -336,9 +339,9 @@ def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed) -> floa
         entropy=0xC0FFEE if seed is None else seed).spawn(2)[1])
     held = sample_points(R, [1, 2, 3], rng, per_size=3, d=d)
     worst = 0.0
-    for X in held:
-        want = eval_expr(target, X)
-        got = _reconstruct(basis, L, H, G, X)
+    for table in held:
+        want = eval_expr(target, table.X)
+        got = _reconstruct(basis, L, H, G, table)
         worst = max(worst, norm_max(want - got) / (1 + norm_max(want)))
     return worst
 
@@ -351,9 +354,9 @@ def _setup(r: Expr, L: HomogeneousPencil | None, level: int, seed, d=None):
     _check_hermitian_function(r, d, rng)
     R = _augment_R(r, d)
     basis = build_basis(R, level, seed=seed, d=d)
-    samples = list(basis.ip.samples)
-    carath = 1 + _verify_injectivity(R, 2 * level + 1, samples, d, seed, rng)
-    return d, L, R, basis, samples, carath
+    tables = [EvalTable.of(R, X) for X in basis.ip.samples]
+    carath = 1 + _verify_injectivity(R, 2 * level + 1, tables, d, seed, rng)
+    return d, L, R, basis, tables, carath
 
 
 def _objective(r: Expr, direction: str | None):
@@ -370,11 +373,12 @@ def _objective(r: Expr, direction: str | None):
     raise ValueError("direction must be None, 'sup' or 'inf'")
 
 
-def _build_problem(basis, L, samples, target, mu_sign, obj_free):
-    """Assemble the membership SDP; returns (problem, linear residual of the
-    pruned equality system).  L is the padded LMI or None."""
+def _build_problem(basis, L, tables, target, mu_sign, obj_free):
+    """Assemble the membership SDP at the samples of the evaluation tables;
+    returns (problem, linear residual of the pruned equality system).  L is
+    the padded LMI or None."""
     use_loc = L is not None
-    rows = _assemble_rows(basis, L, samples, mu_sign, target)
+    rows = _assemble_rows(basis, L, tables, mu_sign, target)
     keep, lin_resid = _prune_rows(rows)
     N = basis.dim
     dims = (N, N * L.size) if use_loc else (N,)
@@ -401,8 +405,8 @@ def build_sdp(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
               d: int | None = None) -> SDPProblem:
     """The SDP posed by certify_qm (direction None) or optimize_eig."""
     target, mu_sign, obj_free = _objective(r, direction)
-    _, L, _, basis, samples, _ = _setup(r, L, level, seed, d)
-    prob, _ = _build_problem(basis, L, samples, target, mu_sign, obj_free)
+    _, L, _, basis, tables, _ = _setup(r, L, level, seed, d)
+    prob, _ = _build_problem(basis, L, tables, target, mu_sign, obj_free)
     return prob
 
 
@@ -416,8 +420,8 @@ def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
     None means not-certified at this level, which is weaker than "not
     positive": the hierarchy is only complete at level 2 tau(r) + 1.
     """
-    d, L, R, basis, samples, carath = _setup(r, L, level, seed, d)
-    prob, lin_resid = _build_problem(basis, L, samples, r, None, 0.0)
+    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d)
+    prob, lin_resid = _build_problem(basis, L, tables, r, None, 0.0)
     sol = solve(prob, sdp_config)
     if lin_resid > 1e-7:
         return None
@@ -445,8 +449,8 @@ def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
     target, mu_sign, obj_free = _objective(r, direction)
-    d, L, R, basis, samples, carath = _setup(r, L, level, seed, d)
-    prob, lin_resid = _build_problem(basis, L, samples, target, mu_sign, obj_free)
+    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d)
+    prob, lin_resid = _build_problem(basis, L, tables, target, mu_sign, obj_free)
     sol = solve(prob, sdp_config)
     if sol.status == "infeasible":
         return OptResult(float("nan"), "infeasible-at-level", None, level, sol.gap)

@@ -95,6 +95,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "hermitian" in err
 
+    @pytest.mark.parametrize("name, obj, argv, why", [
+        # plain numbers where [re, im] pairs belong
+        ("lmi.json", {"H": [[[1, 0], [0, -1]]]}, ["certify", "x1*x1", "--lmi"],
+         "entry [0][0]"),
+        ("coeffs.json", {"coeffs": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}, ["full"],
+         "entry [0][0]"),
+        ("rows.json", {"H": [5]}, ["certify", "x1*x1", "--lmi"], "not a list of rows"),
+        ("pencil.json", {"coeffs": 5}, ["full"], "must be a list of matrices"),
+    ])
+    def test_malformed_matrices_usage(self, capsys, tmp_path, name, obj, argv, why):
+        p = tmp_path / name
+        p.write_text(json.dumps(obj))
+        code, out, err = _run(capsys, argv + [str(p)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "input error" in err and why in err
+
     def test_affine_pencil_to_extend_side_usage(self, capsys, fixtures):
         code, _, _ = _run(capsys, ["extend", "side", "--pencil", fixtures["affine.json"],
                                    "--x", fixtures["tall.json"]])

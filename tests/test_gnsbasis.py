@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from ncrat import expr as ex
+from ncrat import gnsbasis
 from ncrat.gnsbasis import (
     EvalInnerProduct,
+    SamplingError,
+    SingularGramError,
+    _words,
     build_R,
     build_basis,
     default_weights,
@@ -13,6 +17,7 @@ from ncrat.gnsbasis import (
     sample_points,
 )
 from ncrat.numkernel import hermitian_eig, random_tuple
+from ncrat.realization import eval_expr
 
 
 class TestBuildR:
@@ -79,7 +84,7 @@ class TestSamplePoints:
         R = build_R(ex.parse("inv(2-x1)", d=1))
         pts = sample_points(R, [1, 2], rng, per_size=2)
         assert len(pts) == 4
-        assert [X.rows for X in pts] == [1, 1, 2, 2]
+        assert [t.X.rows for t in pts] == [1, 1, 2, 2]
 
 
 class TestBuildBasis:
@@ -135,3 +140,54 @@ class TestBuildBasis:
         obj = basis.to_json()
         assert obj["dim"] == basis.dim
         assert obj["exprs"][0] == "1"
+
+    def test_singular_gram_is_not_a_sampling_failure(self):
+        # with no rank tolerance, dependent words of x1*x1 enter the basis
+        with pytest.raises(SingularGramError) as info:
+            build_basis(build_R(ex.parse("x1*x1", d=1)), 2, tol=0.0)
+        assert not isinstance(info.value, SamplingError)
+        assert f"{info.value.dim}-element basis" in str(info.value)
+        assert info.value.eig_min <= info.value.dim * np.finfo(float).eps
+
+
+TABLE_CASES = ["inv(2-x1)", "x1*inv(3-x1)*inv(3-x1)", "inv(1+x1*x2)"]
+
+
+class TestEvalTable:
+    @pytest.mark.parametrize("text", TABLE_CASES)
+    def test_words_bit_for_bit(self, text, rng):
+        R = build_R(ex.parse(text))
+        tables = sample_points(R, [1, 2, 3], rng, per_size=1)
+        for w, idx in _words(R, 3):
+            for t in tables:
+                assert np.array_equal(t.word(idx), eval_expr(w, t.X)), ex.to_str(w)
+
+    # level 2 of the larger R would make the tree-evaluating reference slow
+    @pytest.mark.parametrize("text, level", zip(TABLE_CASES, (2, 1, 1)))
+    def test_gram_equals_inner_product(self, text, level):
+        basis = build_basis(build_R(ex.parse(text)), level, seed=1)
+        N = basis.dim
+        ref = np.zeros((N, N), dtype=complex)
+        for i in range(N):
+            for j in range(i, N):
+                ref[i, j] = inner_product(basis.exprs[j], basis.exprs[i], basis.ip)
+                ref[j, i] = np.conj(ref[i, j])
+        assert np.array_equal(basis.gram, ref)
+
+    def test_words_not_evaluated_one_by_one(self, monkeypatch):
+        # evaluations happen at admission only, at most one per element of R
+        # per sample drawn, however many words V_5 has
+        calls = {"eval": 0, "tuple": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gnsbasis, "eval_expr", counted("eval", gnsbasis.eval_expr))
+        monkeypatch.setattr(gnsbasis, "random_tuple",
+                            counted("tuple", gnsbasis.random_tuple))
+        R = build_R(ex.parse("inv(2-x1)", d=1))
+        build_basis(R, 5, seed=0)
+        assert 0 < calls["eval"] <= len(R) * calls["tuple"]
