@@ -26,6 +26,7 @@ from .numkernel import (
     matrix_to_json,
     norm_max,
     random_tuple,
+    vector_from_json,
 )
 from .realization import DomainError, build_realization, eval_expr
 from .pencil import HomogeneousPencil, is_full
@@ -122,7 +123,7 @@ def _load_pencil(path: str, *keys: str) -> tuple[HomogeneousPencil, dict]:
                          + " or ".join(repr(k) for k in keys))
     if not isinstance(obj[key], list):
         raise ValueError(f"{path}: {key!r} must be a list of matrices")
-    mats = [matrix_from_json(c) for c in obj[key]]
+    mats = [matrix_from_json(c, f"{key}[{k}]") for k, c in enumerate(obj[key])]
     if key == "H":
         for H in mats:
             if norm_max(H - H.conj().T) > 1e-12 * max(1.0, norm_max(H)):
@@ -302,8 +303,7 @@ def _cmd_widen(args, report) -> int:
     override = None
     if args.pencil:
         M, obj = _load_pencil(args.pencil, "M")
-        u = [complex(re, im) for re, im in obj["u"]]
-        v = [complex(re, im) for re, im in obj["v"]]
+        u, v = (vector_from_json(obj.get(k), k) for k in ("u", "v"))
         override = (u, M.coeffs, v)
     w = widen_hdom(r, pencil_override=override, d=args.d, seed=args.seed)
     d = args.d or max(ex.variables_used(r), default=1)

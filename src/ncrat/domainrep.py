@@ -14,7 +14,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr, ExprMatrix
 from .numkernel import MatrixTuple, nonsingular, random_tuple
-from .realization import build_realization, eval_expr, DomainError
+from .realization import build_realization, eval_exprs, DomainError
 
 __all__ = [
     "schur_inverse_rep",
@@ -68,12 +68,14 @@ def _matmul(A: ExprMatrix, B: ExprMatrix) -> ExprMatrix:
 
 
 def eval_expr_matrix(m: ExprMatrix, X: MatrixTuple) -> np.ndarray:
-    """Blockwise evaluation of an expression matrix at a square tuple."""
+    """Blockwise evaluation of an expression matrix at a square tuple; the
+    entries share one memo."""
     n = X.rows
+    vals = iter(eval_exprs(m.entries, X))
     out = np.zeros((m.rows * n, m.cols * n), dtype=complex)
     for i in range(m.rows):
         for j in range(m.cols):
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = eval_expr(m.at(i, j), X)
+            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = next(vals)
     return out
 
 
@@ -191,6 +193,8 @@ def widen_hdom(r: Expr, pencil_override: tuple | None = None,
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         M = pencil_to_expr_matrix(coeffs)
+        if u.shape != (M.rows,) or v.shape != (M.rows,):
+            raise ValueError(f"u and v need one entry per pencil row ({M.rows})")
     else:
         rep = build_realization(r, d)
         u, v = rep.u, rep.v

@@ -1,15 +1,21 @@
 """Formal rational expressions: AST, parser, printer, involution, complexity.
 
 An expression is an ordered rooted tree over complex scalars, variables
-``x1..xd``, binary ``+`` and ``*``, and unary inverse.  The adjoint is not a
-node kind: ``adj(e)`` in the surface syntax is eagerly pushed to the leaves
-(products reversed, scalars conjugated, variables fixed).
+``x1..xd``, binary ``+`` and ``*``, and unary inverse, stored as a DAG of
+hash-consed nodes: equal subtrees are one object, and the printer, the
+complexity measure and `subexpressions` visit each distinct node once, by one
+iterative postorder walk.  The adjoint is not a node kind: ``adj(e)`` in the
+surface syntax is eagerly pushed to the leaves (products reversed, scalars
+conjugated, variables fixed).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import struct
+import weakref
+from collections import Counter
+from dataclasses import dataclass
 
 __all__ = [
     "Expr",
@@ -23,6 +29,7 @@ __all__ = [
     "sub",
     "neg",
     "involution",
+    "postorder",
     "subexpressions",
     "variables_used",
     "tau",
@@ -37,51 +44,107 @@ MUL = "mul"
 INV = "inv"
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Immutable node of a formal rational expression tree."""
+    """Immutable node of a formal rational expression DAG.
 
-    kind: str
-    children: tuple["Expr", ...] = ()
-    value: complex = 0j
-    index: int = 0
+    Nodes are hash-consed: `_node` returns the live node with the same kind,
+    children (by identity), scalar value (by bit pattern) and index, so equal
+    subtrees built in one process are one object.  ``==`` is structural; the
+    hash is computed once, from the children's, and agrees with it.
+    """
 
-    def __post_init__(self):
-        if self.kind in (ADD, MUL) and len(self.children) != 2:
-            raise ValueError(f"{self.kind} node needs exactly 2 children")
-        if self.kind == INV and len(self.children) != 1:
-            raise ValueError("inv node needs exactly 1 child")
-        if self.kind == VAR and self.index < 1:
-            raise ValueError("variable index must be >= 1")
+    __slots__ = ("kind", "children", "value", "index", "_hash", "__weakref__")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build nodes with scalar, var, add, mul and inv")
+
+    def __setattr__(self, name, val):
+        raise AttributeError("expression nodes are immutable")
+
+    def __reduce__(self):
+        return _node, (self.kind, self.children, self.value, self.index)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        # iterative, and each pair of distinct nodes is compared once
+        done = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in done:
+                continue
+            if (a._hash != b._hash or a.kind != b.kind or a.index != b.index
+                    or a.value != b.value):
+                return False
+            done.add((id(a), id(b)))
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __repr__(self):
+        return f"Expr({to_str(self)!r})"
 
     def __str__(self):
         return to_str(self)
 
 
+# every live node, by its key; an entry goes when its node is collected
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _node(kind: str, children: tuple[Expr, ...] = (), value: complex = 0j,
+          index: int = 0) -> Expr:
+    """The one node factory.  Scalars are keyed by the bits of their value,
+    so 0.0 and -0.0, or NaNs with different bits, are never merged, and a
+    node's value does not depend on what the process built before."""
+    if kind == SCALAR:
+        key = (kind, struct.pack("<dd", value.real, value.imag))
+    else:
+        key = (kind, index, *map(id, children))
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(Expr)
+        setattr_ = object.__setattr__
+        setattr_(node, "kind", kind)
+        setattr_(node, "children", children)
+        setattr_(node, "value", value)
+        setattr_(node, "index", index)
+        setattr_(node, "_hash", hash((kind, value, index, *(c._hash for c in children))))
+        _NODES[key] = node
+    return node
+
+
 def scalar(a) -> Expr:
-    return Expr(SCALAR, value=complex(a))
+    return _node(SCALAR, value=complex(a))
 
 
 def var(j: int) -> Expr:
-    return Expr(VAR, index=j)
+    if j < 1:
+        raise ValueError("variable index must be >= 1")
+    return _node(VAR, index=j)
 
 
 def add(a: Expr, b: Expr) -> Expr:
     if a.kind == SCALAR and b.kind == SCALAR:
         return scalar(a.value + b.value)
-    return Expr(ADD, (a, b))
+    return _node(ADD, (a, b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
     if a.kind == SCALAR and b.kind == SCALAR:
         return scalar(a.value * b.value)
-    return Expr(MUL, (a, b))
+    return _node(MUL, (a, b))
 
 
 def inv(a: Expr) -> Expr:
     if a.kind == SCALAR and a.value != 0:
         return scalar(1 / a.value)
-    return Expr(INV, (a,))
+    return _node(INV, (a,))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -108,41 +171,52 @@ def involution(r: Expr) -> Expr:
         if a.kind == SCALAR or b.kind == SCALAR:
             return mul(involution(a), involution(b))
         return mul(involution(b), involution(a))
-    return Expr(INV, (involution(r.children[0]),))
+    return _node(INV, (involution(r.children[0]),))
+
+
+def postorder(*roots: Expr) -> list[Expr]:
+    """Every distinct node (by identity) under the roots, once, children
+    before parents, in the order a left-to-right recursive walk of the
+    expanded trees first finishes them.  Iterative, so depth is unbounded."""
+    seen: set[int] = set()
+    out: list[Expr] = []
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        e, expanded = stack.pop()
+        if expanded:
+            out.append(e)
+        elif id(e) not in seen:
+            seen.add(id(e))
+            stack.append((e, True))
+            stack.extend((c, False) for c in reversed(e.children))
+    return out
 
 
 def subexpressions(r: Expr) -> list[Expr]:
     """All distinct subtrees of r (postorder, structurally deduplicated)."""
-    seen: dict[Expr, None] = {}
-
-    def walk(e: Expr):
-        for c in e.children:
-            walk(c)
-        seen.setdefault(e)
-
-    walk(r)
-    return list(seen)
+    return list(dict.fromkeys(postorder(r)))
 
 
 def variables_used(r: Expr) -> set[int]:
-    out: set[int] = set()
-    for s in subexpressions(r):
-        if s.kind == VAR:
-            out.add(s.index)
-    return out
+    return {e.index for e in postorder(r) if e.kind == VAR}
 
 
 def tau(r: Expr) -> int:
     """Tree-recursive complexity: additive on products, doubled by inverses."""
-    if r.kind == SCALAR:
-        return 0
-    if r.kind == VAR:
-        return 1
-    if r.kind == ADD:
-        return max(tau(r.children[0]), tau(r.children[1]))
-    if r.kind == MUL:
-        return tau(r.children[0]) + tau(r.children[1])
-    return 2 * tau(r.children[0])
+    t: dict[int, int] = {}
+    for e in postorder(r):
+        c = [t[id(q)] for q in e.children]
+        if e.kind == SCALAR:
+            t[id(e)] = 0
+        elif e.kind == VAR:
+            t[id(e)] = 1
+        elif e.kind == ADD:
+            t[id(e)] = max(c)
+        elif e.kind == MUL:
+            t[id(e)] = c[0] + c[1]
+        else:
+            t[id(e)] = 2 * c[0]
+    return t[id(r)]
 
 
 @dataclass(frozen=True)
@@ -337,27 +411,53 @@ def _fmt_scalar(z: complex) -> str:
 
 
 def to_str(r: Expr) -> str:
-    """Print r so that parse(to_str(r)) is structurally identical to r."""
-    if r.kind == SCALAR:
-        return _fmt_scalar(r.value)
-    if r.kind == VAR:
-        return f"x{r.index}"
-    if r.kind == INV:
-        return f"inv({to_str(r.children[0])})"
-    if r.kind == ADD:
-        a, b = r.children
-        left = to_str(a)
-        # a + (-1)*c prints as subtraction when that round-trips
-        if b.kind == MUL and b.children[0] == scalar(-1):
+    """Print r so that parse(to_str(r)) is structurally identical to r.
+
+    A node's text is kept until the last text made from it is printed, so a
+    long sum chain does not hold every partial sum's text at once.
+    """
+    order = postorder(r)
+    ops = {id(e): _operands(e) for e in order}
+    uses = Counter(id(q) for e in order for q in ops[id(e)])
+    s: dict[int, str] = {}
+
+    def paren_if(e: Expr, kinds: tuple[str, ...]) -> str:
+        return f"({s[id(e)]})" if e.kind in kinds else s[id(e)]
+
+    for e in order:
+        if e.kind == SCALAR:
+            out = _fmt_scalar(e.value)
+        elif e.kind == VAR:
+            out = f"x{e.index}"
+        elif e.kind == INV:
+            out = f"inv({s[id(e.children[0])]})"
+        elif e.kind == ADD:
+            a, b = ops[id(e)]
+            # a + (-1)*c prints as subtraction a-c
+            op = "+" if b is e.children[1] else "-"
+            out = f"{s[id(a)]}{op}{paren_if(b, (ADD,))}"
+        else:
+            a, b = e.children
+            out = f"{paren_if(a, (ADD,))}*{paren_if(b, (ADD, MUL))}"
+        s[id(e)] = out
+        for q in ops[id(e)]:
+            uses[id(q)] -= 1
+            if not uses[id(q)]:
+                del s[id(q)]
+    return s[id(r)]
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    """The nodes whose text the text of e is made from: its children, except
+    that a + (-1)*c is printed from a and c when that round-trips."""
+    if e.kind == ADD:
+        a, b = e.children
+        if b.kind == MUL and _is_minus_one(b.children[0]):
             c = b.children[1]
-            if not (c.kind == MUL and c.children[0] == scalar(-1)):
-                return f"{left}-{_paren_if(c, (ADD,))}"
-        return f"{left}+{_paren_if(b, (ADD,))}"
-    # MUL
-    a, b = r.children
-    return f"{_paren_if(a, (ADD,))}*{_paren_if(b, (ADD, MUL))}"
+            if not (c.kind == MUL and _is_minus_one(c.children[0])):
+                return a, c
+    return e.children
 
 
-def _paren_if(e: Expr, kinds: tuple[str, ...]) -> str:
-    s = to_str(e)
-    return f"({s})" if e.kind in kinds else s
+def _is_minus_one(e: Expr) -> bool:
+    return e.kind == SCALAR and e.value == -1

@@ -104,18 +104,12 @@ def build_R(r: Expr) -> SubexprSet:
                 break
         return q
 
-    seen: dict[str, Expr] = {}
-    out = [ex.scalar(1)]
-    seen[ex.to_str(out[0])] = out[0]
+    out = {ex.scalar(1): None}
     for root in (r, ex.involution(r)):
         for q in ex.subexpressions(root):
             q = strip(q)
-            if q.kind == ex.SCALAR:
-                continue
-            key = ex.to_str(q)
-            if key not in seen:
-                seen[key] = q
-                out.append(q)
+            if q.kind != ex.SCALAR:
+                out.setdefault(q)
     return SubexprSet(r, tuple(out))
 
 
@@ -236,7 +230,7 @@ def _words(R: SubexprSet, level: int):
     prefix idx[:-1] of every word is itself a word.
     """
     one = R.exprs[0]
-    seen = {ex.to_str(one)}
+    seen = {one}
     words = [(one, ())]
     frontier = [((), one)]
     for _ in range(level):
@@ -244,10 +238,9 @@ def _words(R: SubexprSet, level: int):
         for idx, w in frontier:
             for j in range(1, len(R.exprs)):
                 prod = ex.mul(w, R.exprs[j]) if idx else R.exprs[j]
-                key = ex.to_str(prod)
-                if key in seen:
+                if prod in seen:
                     continue
-                seen.add(key)
+                seen.add(prod)
                 words.append((prod, idx + (j,)))
                 nxt.append((idx + (j,), prod))
         frontier = nxt

@@ -7,6 +7,7 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
     "herm_deviation",
     "matrix_to_json",
     "matrix_from_json",
+    "vector_from_json",
 ]
 
 # relative singular-value threshold for every rank, fullness and
@@ -199,7 +201,8 @@ class MatrixTuple:
 
     @staticmethod
     def from_json(obj: dict) -> "MatrixTuple":
-        mats = tuple(matrix_from_json(m) for m in obj["matrices"])
+        mats = tuple(matrix_from_json(m, f"matrices[{k}]")
+                     for k, m in enumerate(obj["matrices"]))
         return MatrixTuple(mats, hermitian=bool(obj.get("hermitian", False)))
 
 
@@ -208,20 +211,39 @@ def matrix_to_json(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _json_entry(z, i: int, j: int) -> complex:
-    if (isinstance(z, list) and len(z) == 2
-            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in z)):
+def _finite(p) -> bool:
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        return False
+    try:
+        return math.isfinite(p)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _json_entry(z, name: str, where: tuple[int, ...]) -> complex:
+    if isinstance(z, list) and len(z) == 2 and _finite(z[0]) and _finite(z[1]):
         return complex(z[0], z[1])
-    raise ValueError(f"matrix entry [{i}][{j}] is {z!r}, expected a [re, im] pair of numbers")
+    at = "".join(f"[{k}]" for k in where)
+    raise ValueError(f"{name} entry {at} is {z!r}, expected a [re, im] pair "
+                     "of finite numbers")
 
 
-def matrix_from_json(rows) -> np.ndarray:
+def matrix_from_json(rows, name: str = "matrix") -> np.ndarray:
     """A complex matrix from its JSON form, rows of [re, im] pairs; raises
-    ValueError naming the first malformed entry."""
+    ValueError naming the first malformed or non-finite entry."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError(f"matrix {rows!r} is not a list of rows")
-    return np.array([[_json_entry(z, i, j) for j, z in enumerate(row)]
+        raise ValueError(f"{name} {rows!r} is not a list of rows")
+    return np.array([[_json_entry(z, name, (i, j)) for j, z in enumerate(row)]
                      for i, row in enumerate(rows)], dtype=complex)
+
+
+def vector_from_json(entries, name: str = "vector") -> np.ndarray:
+    """A complex vector from its JSON form, a list of [re, im] pairs; raises
+    ValueError naming the first malformed or non-finite entry."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{name} must be a list of [re, im] pairs, not {entries!r}")
+    return np.array([_json_entry(z, name, (i,)) for i, z in enumerate(entries)],
+                    dtype=complex)
 
 
 def _complex_gauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -121,14 +121,9 @@ class OptResult:
 
 def _augment_R(r: Expr, d: int) -> SubexprSet:
     """R of r, extended with any pencil variables r does not mention."""
-    R = build_R(r)
-    exprs = list(R.exprs)
-    have = {ex.to_str(q) for q in exprs}
+    exprs = dict.fromkeys(build_R(r).exprs)
     for j in range(1, d + 1):
-        v = ex.var(j)
-        if ex.to_str(v) not in have:
-            exprs.append(v)
-            have.add(ex.to_str(v))
+        exprs.setdefault(ex.var(j))
     return SubexprSet(r, tuple(exprs))
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "DomainError",
     "build_realization",
     "eval_expr",
+    "eval_exprs",
     "realization_eval",
     "in_domain",
     "likely_degenerate",
@@ -153,28 +154,39 @@ def _safe_inverse(value: np.ndarray, node: Expr, tol: float) -> np.ndarray:
 
 
 def eval_expr(r: Expr, X: MatrixTuple, tol: float = RANK_TOL) -> np.ndarray:
-    """Recursive tree evaluation at a square tuple.
+    """Evaluation at a square tuple, each distinct node once.
 
     Raises DomainError naming the innermost singular inverse node.
+    """
+    return eval_exprs((r,), X, tol)[0]
+
+
+def eval_exprs(roots, X: MatrixTuple, tol: float = RANK_TOL) -> list[np.ndarray]:
+    """The values of several expressions at X, through one memo.
+
+    Nodes are evaluated in `expr.postorder`, with the operations of the tree
+    evaluator on the same operands, so values are bit-for-bit those of a
+    recursive walk and the first singular inverse reached is the same.
     """
     if X.rows != X.cols:
         raise ValueError("evaluation needs a square tuple")
     n = X.rows
-
-    def rec(e: Expr) -> np.ndarray:
+    vals: dict[int, np.ndarray] = {}
+    for e in ex.postorder(*roots):
         if e.kind == ex.SCALAR:
-            return e.value * np.eye(n)
-        if e.kind == ex.VAR:
+            val = e.value * np.eye(n)
+        elif e.kind == ex.VAR:
             if e.index > X.d:
                 raise ValueError(f"expression uses x{e.index} but tuple has d={X.d}")
-            return np.array(X[e.index - 1])
-        if e.kind == ex.ADD:
-            return rec(e.children[0]) + rec(e.children[1])
-        if e.kind == ex.MUL:
-            return rec(e.children[0]) @ rec(e.children[1])
-        return _safe_inverse(rec(e.children[0]), e, tol)
-
-    return rec(r)
+            val = np.array(X[e.index - 1])
+        elif e.kind == ex.ADD:
+            val = vals[id(e.children[0])] + vals[id(e.children[1])]
+        elif e.kind == ex.MUL:
+            val = vals[id(e.children[0])] @ vals[id(e.children[1])]
+        else:
+            val = _safe_inverse(vals[id(e.children[0])], e, tol)
+        vals[id(e)] = val
+    return [vals[id(r)] for r in roots]
 
 
 def in_domain(r: Expr, X: MatrixTuple, d: int | None = None,

@@ -43,6 +43,13 @@ def fixtures(tmp_path):
     return paths
 
 
+NAN = float("nan")
+# a pencil file for inv(x1): u* inv([[1, 0], [0, x1]]) v with u = v = e2
+MINIMAL_INV = {"e": 2, "u": [[0.0, 0.0], [1.0, 0.0]], "v": [[0.0, 0.0], [1.0, 0.0]],
+               "M": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                     [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+
+
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -103,6 +110,18 @@ class TestExitCodes:
          "entry [0][0]"),
         ("rows.json", {"H": [5]}, ["certify", "x1*x1", "--lmi"], "not a list of rows"),
         ("pencil.json", {"coeffs": 5}, ["full"], "must be a list of matrices"),
+        # u of plain numbers, and non-finite entries in an "M" or "H" file
+        ("uv.json", dict(MINIMAL_INV, u=[1.0, 0.0]), ["widen", "inv(x1)", "--pencil"],
+         "u entry [0]"),
+        ("short-v.json", dict(MINIMAL_INV, v=[[1.0, 0.0]]), ["widen", "inv(x1)", "--pencil"],
+         "one entry per pencil row"),
+        ("nan-m.json", dict(MINIMAL_INV, M=[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                            [[[0, 0], [0, 0]], [[0, 0], [NAN, 0]]]]),
+         ["widen", "inv(x1)", "--pencil"], "M[1] entry [1][1]"),
+        ("nan-lmi.json", {"H": [[[[1, 0], [0, 0]], [[0, 0], [NAN, 0]]]]},
+         ["certify", "x1*x1", "--lmi"], "H[0] entry [1][1]"),
+        ("inf-lmi.json", {"H": [[[[float("inf"), 0]]]]}, ["optimize", "x1", "--sup", "--lmi"],
+         "H[0] entry [0][0]"),
     ])
     def test_malformed_matrices_usage(self, capsys, tmp_path, name, obj, argv, why):
         p = tmp_path / name
@@ -111,6 +130,22 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert "input error" in err and why in err
+
+    def test_widen_with_pencil_file(self, capsys, tmp_path):
+        p = tmp_path / "minimal.json"
+        p.write_text(json.dumps(MINIMAL_INV))
+        code, out, _ = _run(capsys, ["widen", "inv(x1)", "--pencil", str(p)])
+        assert code == EXIT_OK and "inv(" in json.loads(out)["expr"]
+
+    def test_deep_expression_eval(self, capsys, tmp_path):
+        # a 1200-term sum is 1200 nodes deep
+        p = tmp_path / "sum.txt"
+        p.write_text("+".join(["x1"] * 1200))
+        pt = tmp_path / "pt.json"
+        pt.write_text(json.dumps(MatrixTuple((np.array([[0.5]]),), hermitian=True).to_json()))
+        code, out, _ = _run(capsys, ["eval", f"@{p}", "--at", str(pt)])
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == [[[600.0, 0.0]]]
 
     def test_affine_pencil_to_extend_side_usage(self, capsys, fixtures):
         code, _, _ = _run(capsys, ["extend", "side", "--pencil", fixtures["affine.json"],

@@ -1,9 +1,12 @@
 """Schur-recursion inverses of expression matrices and domain widening."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from ncrat import expr as ex
+from ncrat import realization
 from ncrat.domainrep import (
     NotInvertibleError,
     eval_expr_matrix,
@@ -11,7 +14,14 @@ from ncrat.domainrep import (
     schur_inverse_rep,
     widen_hdom,
 )
-from ncrat.numkernel import MatrixTuple, random_tuple
+from ncrat.numkernel import (
+    RANK_TOL,
+    MatrixTuple,
+    lu_solve,
+    nonsingular,
+    random_tuple,
+    sigma_extremes,
+)
 from ncrat.realization import DomainError, eval_expr
 
 from conftest import in_domain_tuple
@@ -22,6 +32,49 @@ PENCIL4 = [np.zeros((2, 2))] + [m for m in (
     np.array([[0, 0], [1.0, 0]]), np.array([[0, 0], [0, 1.0]]),
 )]
 E2 = np.array([0.0, 1.0])
+
+# the expressions of the widen benchmark, with their variable counts
+WIDEN = (("inv(x1)", 1), ("inv(1-x1*x2)", 2), ("inv(x1+x2*x3)", 3),
+         ("inv(x1)*x2*inv(x1)", 2), ("inv(x4 - x3*inv(x1)*x2)", 4))
+
+
+def _tree_eval(r, X, tol=RANK_TOL):
+    """Reference evaluator: a recursive walk of the expanded tree, with the
+    same operations as eval_expr and no memo."""
+    n = X.rows
+
+    def rec(e):
+        if e.kind == ex.SCALAR:
+            return e.value * np.eye(n)
+        if e.kind == ex.VAR:
+            return np.array(X[e.index - 1])
+        if e.kind == ex.ADD:
+            return rec(e.children[0]) + rec(e.children[1])
+        if e.kind == ex.MUL:
+            return rec(e.children[0]) @ rec(e.children[1])
+        val = rec(e.children[0])
+        smin, smax = sigma_extremes(val)
+        if not nonsingular(smin, smax, tol):
+            raise DomainError(e, smin)
+        return lu_solve(val, np.eye(val.shape[0]))
+
+    return rec(r)
+
+
+def _outcome(evaluate, w, X):
+    try:
+        return evaluate(w, X), None
+    except DomainError as err:
+        return None, err
+
+
+def _singularized(X, j):
+    """X with one eigenvalue of X_j set to zero (as the widen CLI probes)."""
+    wv, V = np.linalg.eigh(X[j])
+    wv[0] = 0.0
+    mats = list(X.matrices)
+    mats[j] = V @ np.diag(wv) @ V.conj().T
+    return MatrixTuple(tuple(mats), hermitian=True)
 
 
 def _generic_matrix():
@@ -35,6 +88,57 @@ class TestEvalExprMatrix:
         val = eval_expr_matrix(m, X)
         assert val.shape == (6, 6)
         assert np.allclose(val[:3, 3:], X[1])
+
+
+    def test_entries_share_one_memo(self, monkeypatch, rng):
+        s = schur_inverse_rep(_generic_matrix(), d=4)
+        calls = []
+        monkeypatch.setattr(realization, "sigma_extremes",
+                            lambda A: calls.append(1) or sigma_extremes(A))
+        eval_expr_matrix(s, random_tuple(4, 2, 2, mode="hermitian", rng=rng))
+        assert 0 < len(calls) <= sum(e.kind == ex.INV for e in ex.postorder(*s.entries))
+
+
+class TestMemoizedEval:
+    @pytest.mark.parametrize("text, d", WIDEN)
+    def test_widened_equals_tree_evaluation(self, text, d):
+        w = widen_hdom(ex.parse(text, d=d), d=d)
+        rng = np.random.default_rng(1)
+        raised = 0
+        for n in (1, 2, 3):
+            X = random_tuple(d, n, n, mode="hermitian", rng=rng)
+            zero = MatrixTuple((np.zeros((n, n)),) * d, hermitian=True)
+            for Y in (X, _singularized(X, n % d), zero):
+                want, want_err = _outcome(_tree_eval, w, Y)
+                got, got_err = _outcome(eval_expr, w, Y)
+                if want_err is None:
+                    assert got_err is None and np.array_equal(got, want)
+                else:
+                    # the same first singular inverse, at the same sigma_min
+                    assert got_err is not None
+                    assert got_err.subexpr is want_err.subexpr
+                    assert got_err.sigma_min == want_err.sigma_min
+                    raised += 1
+        # every widened expression but inv(1-x1*x2) is undefined at zero
+        assert raised >= (0 if text == "inv(1-x1*x2)" else 3)
+
+    def test_each_inverse_checked_once(self, monkeypatch, rng):
+        w = widen_hdom(ex.parse("inv(x4 - x3*inv(x1)*x2)", d=4), d=4)
+        calls = []
+        monkeypatch.setattr(realization, "sigma_extremes",
+                            lambda A: calls.append(1) or sigma_extremes(A))
+        eval_expr(w, random_tuple(4, 2, 2, mode="hermitian", rng=rng))
+        assert 0 < len(calls) <= sum(e.kind == ex.INV for e in ex.postorder(w))
+
+    def test_intern_table_releases_dropped_trees(self):
+        r = ex.parse("inv(x4 - x3*inv(x1)*x2)", d=4)
+        gc.collect()
+        baseline = len(ex._NODES)
+        w = widen_hdom(r, d=4)
+        assert len(ex._NODES) > baseline
+        del w
+        gc.collect()
+        assert len(ex._NODES) == baseline
 
 
 class TestSchurInverse:

@@ -1,11 +1,14 @@
 """Expression AST, parser, printer, involution and complexity."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncrat import expr as ex
-from ncrat.numkernel import random_tuple
+from ncrat.numkernel import MatrixTuple, random_tuple
 from ncrat.realization import eval_expr
 
 from conftest import random_expr
@@ -53,6 +56,59 @@ class TestConstruction:
     def test_var_index_positive(self):
         with pytest.raises(ValueError):
             ex.var(0)
+
+
+class TestHashConsing:
+    def test_equal_constructions_are_one_node(self):
+        a = ex.parse("x1*inv(2-x2)", d=2)
+        assert ex.parse("x1 * inv(2 - x2)", d=2) is a
+        assert ex.mul(ex.var(1), ex.inv(ex.sub(ex.scalar(2), ex.var(2)))) is a
+
+    def test_signed_zeros_not_merged(self):
+        assert ex.scalar(0.0) is not ex.scalar(-0.0)
+        # structural equality and the hash are unchanged
+        assert ex.scalar(0.0) == ex.scalar(-0.0)
+        assert hash(ex.scalar(0.0)) == hash(ex.scalar(-0.0))
+        assert np.signbit(ex.scalar(-0.0).value.real)
+
+    def test_nodes_immutable_and_factory_only(self):
+        e = ex.var(1)
+        with pytest.raises(AttributeError):
+            e.index = 2
+        with pytest.raises(TypeError):
+            ex.Expr(ex.VAR, index=1)
+
+    def test_copies_are_the_interned_node(self):
+        e = ex.parse("inv(x1)*x2+3", d=2)
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_deep_sum(self):
+        # recursion on depth would fail here: every walk is iterative
+        r = ex.parse("+".join(["x1"] * 5000), d=1)
+        X = MatrixTuple((np.array([[0.5]]),), hermitian=True)
+        assert eval_expr(r, X)[0, 0] == 2500
+        assert ex.parse(ex.to_str(r), d=1) is r
+        assert ex.tau(r) == 1
+        assert ex.variables_used(r) == {1}
+        assert len(ex.subexpressions(r)) == 5000
+
+    def test_first_singular_inverse_in_tree_order(self):
+        from ncrat.realization import DomainError
+        e = ex.parse("inv(x3)*inv(x2) + inv(x1)", d=3)
+        zero = MatrixTuple((np.zeros((2, 2)),) * 3, hermitian=True)
+        with pytest.raises(DomainError) as err:
+            eval_expr(e, zero)
+        assert err.value.subexpr is ex.inv(ex.var(3))
+
+    def test_deep_structural_equality(self):
+        # equal but distinct trees, differing in the sign bit of a zero leaf
+        r0, r1 = ex.scalar(0.0), ex.scalar(-0.0)
+        for _ in range(5000):
+            r0, r1 = ex.add(r0, ex.var(1)), ex.add(r1, ex.var(1))
+        assert r0 is not r1
+        assert r0 == r1 and hash(r0) == hash(r1)
+        assert r0 != ex.add(r1, ex.var(1))
 
 
 class TestTau:
@@ -109,6 +165,15 @@ class TestSubexpressions:
         subs = ex.subexpressions(e)
         assert subs.count(ex.var(1)) == 1
         assert subs[-1] == e
+
+    def test_shared_nodes_listed_once(self):
+        s = ex.parse("inv(x1)", d=2)
+        p = ex.mul(ex.var(2), s)
+        e = ex.add(p, s)
+        # left to right, children first, each node where a walk first ends it
+        assert ex.subexpressions(e) == [ex.var(2), ex.var(1), s, p, e]
+        assert ex.postorder(e, s) == ex.subexpressions(e)
+        assert ex.postorder(s, e) == [ex.var(1), s, ex.var(2), p, e]
 
     def test_variables_used(self):
         e = ex.add(ex.var(3), ex.inv(ex.add(ex.var(1), ex.scalar(2))))
