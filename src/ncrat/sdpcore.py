@@ -184,11 +184,15 @@ def _normal_matrix(Af, X, Sinv) -> np.ndarray:
     return M
 
 
-def _max_step(X, dX, frac: float) -> float:
-    """Largest alpha <= 1 with X + alpha dX staying positive definite."""
+def _cholesky_factors(X) -> list[np.ndarray]:
+    return [np.linalg.cholesky(Xb) for Xb in X]
+
+
+def _max_step(LX, dX, frac: float) -> float:
+    """Largest alpha <= 1 with X + alpha dX staying positive definite, from
+    the Cholesky factors LX of the blocks of X."""
     alpha = 1.0
-    for Xb, dXb in zip(X, dX):
-        L = np.linalg.cholesky(Xb)
+    for L, dXb in zip(LX, dX):
         W = scipy.linalg.solve_triangular(L, dXb, lower=True)
         W = scipy.linalg.solve_triangular(L, W.conj().T, lower=True).conj().T
         lam = np.linalg.eigvalsh(_herm(W))[0]
@@ -257,10 +261,10 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
             break
 
         try:
-            Sinv = []
-            for Sb in S:
-                L = np.linalg.cholesky(Sb)
-                Sinv.append(scipy.linalg.cho_solve((L, True), np.eye(Sb.shape[0])))
+            # these factors also serve the four step-length tests below
+            LS = _cholesky_factors(S)
+            Sinv = [scipy.linalg.cho_solve((L, True), np.eye(L.shape[0])) for L in LS]
+            LX = _cholesky_factors(X)
 
             # normal matrix, plus free-variable border
             K = np.zeros((m + nf, m + nf))
@@ -287,8 +291,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
             # predictor (affine scaling)
             Rc_aff = [-Xb @ Sb for Xb, Sb in zip(X, S)]
             dXa, dya, dza, dSa = newton(Rc_aff)
-            ap = _max_step(X, dXa, cfg.step_frac)
-            ad = _max_step(S, dSa, cfg.step_frac)
+            ap = _max_step(LX, dXa, cfg.step_frac)
+            ad = _max_step(LS, dSa, cfg.step_frac)
             mu_aff = sum(
                 float(np.trace((Xb + ap * dXb) @ (Sb + ad * dSb)).real)
                 for Xb, dXb, Sb, dSb in zip(X, dXa, S, dSa)
@@ -301,8 +305,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
                 for n, Xb, Sb, dXb, dSb in zip(dims, X, S, dXa, dSa)
             ]
             dX, dy, dz, dS = newton(Rc)
-            ap = _max_step(X, dX, cfg.step_frac)
-            ad = _max_step(S, dS, cfg.step_frac)
+            ap = _max_step(LX, dX, cfg.step_frac)
+            ad = _max_step(LS, dS, cfg.step_frac)
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             break
@@ -333,9 +337,17 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
 # ---------------------------------------------------------------------------
 # complex-to-real embedding
 
-def _realify_mat(A: np.ndarray) -> np.ndarray:
-    # [[Re, -Im], [Im, Re]] / 2 keeps tr(T(A) T(X)) = tr(A X)
-    return np.block([[A.real, -A.imag], [A.imag, A.real]]) / 2
+def _block_stacks(p: SDPProblem) -> list[np.ndarray]:
+    """Per block b, the (m+1, n_b, n_b) stack of C_b and the A_ib."""
+    return [np.array([Cb, *(con.blocks[k] for con in p.constraints)])
+            for k, Cb in enumerate(p.obj_blocks)]
+
+
+def _realify_stack(A: np.ndarray) -> np.ndarray:
+    # [[Re, -Im], [Im, Re]] / 2 of each matrix keeps tr(T(A) T(X)) = tr(A X)
+    re, im = A.real, A.imag
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2) / 2
 
 
 def realify(p: SDPProblem) -> SDPProblem:
@@ -344,17 +356,11 @@ def realify(p: SDPProblem) -> SDPProblem:
     Coefficients are halved so every trace, and hence the optimum, is
     preserved; a complex solution is recovered with recover_complex.
     """
-    dims = tuple(2 * n for n in p.block_dims)
-    obj = tuple(_realify_mat(C).astype(complex) for C in p.obj_blocks)
-    cons = tuple(
-        SDPConstraint(
-            tuple(_realify_mat(A).astype(complex) for A in con.blocks),
-            con.free,
-            con.rhs,
-        )
-        for con in p.constraints
-    )
-    return SDPProblem(dims, p.nfree, obj, p.obj_free, cons)
+    stacks = [_realify_stack(S) for S in _block_stacks(p)]
+    cons = tuple(SDPConstraint(tuple(S[i] for S in stacks), con.free, con.rhs)
+                 for i, con in enumerate(p.constraints, start=1))
+    return SDPProblem(tuple(2 * n for n in p.block_dims), p.nfree,
+                      tuple(S[0] for S in stacks), p.obj_free, cons)
 
 
 def recover_complex(Xhat: np.ndarray) -> np.ndarray:
@@ -372,6 +378,16 @@ def recover_complex(Xhat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # SDPA sparse exchange format
 
+def _nonzeros(U: np.ndarray, prefixes: list[str]):
+    """The nonzeros of U, whose row k holds the entries of matrix number k
+    and whose column t has the line text `prefixes[t]`: per row the [start,
+    end) bounds, then each nonzero's prefix and value in row-major order."""
+    nz = np.flatnonzero(U)
+    rows, cols = np.divmod(nz, U.shape[1])
+    bounds = np.searchsorted(rows, np.arange(U.shape[0] + 1)).tolist()
+    return bounds, np.array(prefixes, dtype=object)[cols], U.ravel()[nz]
+
+
 def export_sdpa(p: SDPProblem, path: str) -> None:
     """Write the problem in SDPA sparse ".dat-s" form.
 
@@ -380,101 +396,156 @@ def export_sdpa(p: SDPProblem, path: str) -> None:
     are realified; free scalars become a trailing diagonal block holding the
     split y = y+ - y-, recorded in a comment for exact re-import.
     """
-    q = realify(p) if p.is_complex() else p
-    dims = list(q.block_dims)
-    nblocks = len(dims) + (1 if q.nfree else 0)
-    lines = [f'"nfree = {q.nfree}']
-    if p.is_complex():
-        lines.append('"realified = 1')
-    lines.append(f"{q.m}")
-    lines.append(f"{nblocks}")
-    sizes = [str(n) for n in dims]
-    if q.nfree:
-        sizes.append(str(-2 * q.nfree))
-    lines.append(" ".join(sizes))
-    lines.append(" ".join(repr(float(con.rhs)) for con in q.constraints))
+    cplx = p.is_complex()
+    stacks = [_realify_stack(S) if cplx else S.real for S in _block_stacks(p)]
+    m, nf = p.m, p.nfree
+    sizes = [str(S.shape[1]) for S in stacks] + ([str(-2 * nf)] if nf else [])
+    header = [f'"nfree = {nf}', *(['"realified = 1'] if cplx else []),
+              f"{m}", f"{len(sizes)}", " ".join(sizes),
+              " ".join(repr(float(con.rhs)) for con in p.constraints)]
 
-    def emit(matno: int, blkno: int, A: np.ndarray, sign: float = 1.0):
-        n = A.shape[0]
-        for i in range(n):
-            for j in range(i, n):
-                val = sign * float(A[i, j].real)
-                if val != 0.0:
-                    lines.append(f"{matno} {blkno} {i + 1} {j + 1} {val!r}")
+    # per block, the upper triangles row by row; row 0 is F_0 = -C
+    parts = []
+    for blk, S in enumerate(stacks, start=1):
+        iu, ju = np.triu_indices(S.shape[1])
+        U = S[:, iu, ju]
+        U[0] = -U[0]
+        parts.append(_nonzeros(U, [f" {blk} {i} {j} " for i, j
+                                   in zip((iu + 1).tolist(), (ju + 1).tolist())]))
+    if nf:
+        F = np.array([p.obj_free, *(con.free for con in p.constraints)])
+        F[0] = -F[0]
+        blk = len(stacks) + 1
+        parts.append(_nonzeros(np.stack([F, -F], axis=2).reshape(m + 1, 2 * nf),
+                               [f" {blk} {i} {i} " for i in range(1, 2 * nf + 1)]))
 
-    def emit_free(matno: int, vec: np.ndarray, sign: float = 1.0):
-        blk = len(dims) + 1
-        for k, val in enumerate(vec):
-            v = sign * float(val)
-            if v != 0.0:
-                lines.append(f"{matno} {blk} {2 * k + 1} {2 * k + 1} {float(v)!r}")
-                lines.append(f"{matno} {blk} {2 * k + 2} {2 * k + 2} {float(-v)!r}")
-
-    for bnum, Cb in enumerate(q.obj_blocks, start=1):
-        emit(0, bnum, Cb, sign=-1.0)
-    if q.nfree:
-        emit_free(0, q.obj_free, sign=-1.0)
-    for i, con in enumerate(q.constraints, start=1):
-        for bnum, A in enumerate(con.blocks, start=1):
-            emit(i, bnum, A)
-        if q.nfree:
-            emit_free(i, con.free)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for k in range(m + 1):
+            lines = []
+            for bounds, prefix, vals in parts:
+                a, b = bounds[k], bounds[k + 1]
+                lines += map(str.__add__, prefix[a:b], map(repr, vals[a:b].tolist()))
+            if lines:
+                fh.write(f"{k}" + f"\n{k}".join(lines) + "\n")
+
+
+def _malformed(path: str, start: int) -> str:
+    """Names the first line from line `start` on that is not five numbers."""
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            fields = line.split('"', 1)[0].split()
+            if n < start or not fields:
+                continue
+            if len(fields) == 5:
+                try:
+                    list(map(float, fields))
+                    continue
+                except ValueError:
+                    pass
+            return f"{path}: line {n} ({line.strip()!r}) is not an SDPA entry"
+    return f"{path}: malformed SDPA entries"
+
+
+def _repeated(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key equals that of an earlier entry."""
+    order = np.argsort(key, kind="stable")
+    out = np.zeros(len(key), dtype=bool)
+    out[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    return out
 
 
 def import_sdpa(path: str) -> SDPProblem:
     """Read a ".dat-s" file written by export_sdpa back into an SDPProblem.
 
     Understands the free-scalar comment convention; genuinely complex
-    problems come back in realified form.
+    problems come back in realified form.  An entry that is not five
+    numbers, has a non-integer or out-of-range matrix, block, row or column
+    number, repeats a position, or breaks the free-scalar convention raises
+    ValueError naming it.
     """
     nfree = 0
-    tokens: list[str] = []
+    lineno = 0
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith('"') or line.startswith("*"):
-                if "nfree" in line:
-                    nfree = int(line.split("=")[1])
-                continue
-            tokens.append(line)
-    m = int(tokens[0])
-    nblocks = int(tokens[1])
-    sizes = [int(s) for s in tokens[2].split()]
-    if len(sizes) != nblocks:
-        raise ValueError("block size count mismatch")
-    rhs = [float(s) for s in tokens[3].split()] if m else []
-    if len(rhs) != m:
-        raise ValueError("rhs length mismatch")
+        def next_line() -> str:
+            nonlocal nfree, lineno
+            while line := fh.readline():
+                lineno += 1
+                line = line.strip()
+                if line.startswith(('"', "*")):
+                    if "nfree" in line:
+                        nfree = int(line.split("=")[1])
+                elif line:
+                    return line
+            raise ValueError(f"{path}: SDPA header ends early")
+
+        m = int(next_line())
+        nblocks = int(next_line())
+        sizes = [int(s) for s in next_line().split()]
+        rhs = [float(s) for s in next_line().split()] if m else []
+        if len(sizes) != nblocks:
+            raise ValueError("block size count mismatch")
+        if len(rhs) != m:
+            raise ValueError("rhs length mismatch")
+        if nfree and (not sizes or sizes[-1] != -2 * nfree):
+            raise ValueError("free-scalar block must be the last, of size -2*nfree")
+        # skip to the first entry, so an empty rest is no loadtxt warning
+        while True:
+            pos = fh.tell()
+            line = fh.readline()
+            if not line or line.split('"', 1)[0].strip():
+                break
+            lineno += 1
+        E = np.empty((0, 5))
+        if line:
+            fh.seek(pos)
+            try:
+                E = np.loadtxt(fh, ndmin=2, comments='"')
+            except ValueError:
+                E = None
+    if E is None or E.shape[1] != 5:
+        raise ValueError(_malformed(path, lineno + 1))
     nmat = nblocks - (1 if nfree else 0)
     dims = [abs(s) for s in sizes[:nmat]]
-    obj = [np.zeros((n, n), dtype=complex) for n in dims]
-    obj_free = np.zeros(nfree)
-    conA = [[np.zeros((n, n), dtype=complex) for n in dims] for _ in range(m)]
-    con_free = [np.zeros(nfree) for _ in range(m)]
-    for line in tokens[4:]:
-        matno_s, blkno_s, i_s, j_s, val_s = line.split()
-        matno, blkno, i, j = int(matno_s), int(blkno_s), int(i_s) - 1, int(j_s) - 1
-        val = float(val_s)
-        if nfree and blkno == nblocks:
-            if i != j:
-                raise ValueError("free-scalar block must be diagonal")
-            if i % 2:
-                continue  # the negated partner of the split pair
-            k = i // 2
-            if matno == 0:
-                obj_free[k] = -val
-            else:
-                con_free[matno - 1][k] = val
-            continue
-        target = obj[blkno - 1] if matno == 0 else conA[matno - 1][blkno - 1]
-        sign = -1.0 if matno == 0 else 1.0
-        target[i, j] = sign * val
-        target[j, i] = sign * val
-    cons = tuple(
-        SDPConstraint(tuple(conA[i]), con_free[i], rhs[i]) for i in range(m)
-    )
-    return SDPProblem(tuple(dims), nfree, tuple(obj), obj_free, cons)
+
+    def reject(bad: np.ndarray, why: str):
+        if bad.any():
+            e = E[int(np.flatnonzero(bad)[0])]
+            entry = " ".join(f"{x:g}" for x in e[:4]) + f" {float(e[4])!r}"
+            raise ValueError(f"{path}: SDPA entry '{entry}': {why}")
+
+    idx, val = E[:, :4], E[:, 4]
+    reject((idx != np.floor(idx)).any(axis=1), "indices must be integers")
+    reject((idx[:, 0] < 0) | (idx[:, 0] > m), f"matrix number outside 0..{m}")
+    reject((idx[:, 1] < 1) | (idx[:, 1] > nblocks), f"block number outside 1..{nblocks}")
+    n = np.array([*dims, 2 * nfree], dtype=float)[idx[:, 1].astype(int) - 1]
+    reject(((idx[:, 2:] < 1) | (idx[:, 2:] > n[:, None])).any(axis=1),
+           "row or column outside the block")
+    I = idx.astype(int)
+    I -= [0, 1, 1, 1]
+    mat, blk, i, j = I.T
+    free = blk == nmat
+    reject(free & (i != j), "free-scalar block must be diagonal")
+    N = max(dims, default=0) + 2 * nfree
+    reject(_repeated(((mat * nblocks + blk) * N + np.minimum(i, j)) * N + np.maximum(i, j)),
+           "position given twice")
+
+    val = np.where(mat == 0, -val, val)  # F_0 = -C
+    stacks = []
+    for b, nb in enumerate(dims):
+        s = blk == b
+        S = np.zeros((m + 1, nb, nb), dtype=complex)
+        S[mat[s], i[s], j[s]] = val[s]
+        S[mat[s], j[s], i[s]] = val[s]
+        stacks.append(S)
+    # the split pair y+ - y-: row 0 holds the y+ coefficients, row 1 the y-
+    F = np.zeros((2, m + 1, nfree))
+    fi, fm, fv = i[free], mat[free], val[free]
+    F[fi % 2, fm, fi // 2] = fv
+    partner = F[1 - fi % 2, fm, fi // 2]
+    unpaired = free.copy()
+    unpaired[free] = (partner != -fv) & ~(np.isnan(partner) & np.isnan(fv))
+    reject(unpaired, "free-scalar entry without its negated partner")
+    cons = tuple(SDPConstraint(tuple(S[k] for S in stacks), F[0, k], rhs[k - 1])
+                 for k in range(1, m + 1))
+    return SDPProblem(tuple(dims), nfree, tuple(S[0] for S in stacks), F[0, 0], cons)
