@@ -3,10 +3,10 @@
 An expression is an ordered rooted tree over complex scalars, variables
 ``x1..xd``, binary ``+`` and ``*``, and unary inverse, stored as a DAG of
 hash-consed nodes: equal subtrees are one object, and the printer, the
-complexity measure and `subexpressions` visit each distinct node once, by one
-iterative postorder walk.  The adjoint is not a node kind: ``adj(e)`` in the
-surface syntax is eagerly pushed to the leaves (products reversed, scalars
-conjugated, variables fixed).
+involution, the complexity measure and `subexpressions` visit each distinct
+node once, by one iterative postorder walk.  The adjoint is not a node kind:
+``adj(e)`` in the surface syntax is eagerly pushed to the leaves (products
+reversed, scalars conjugated, variables fixed).
 """
 
 from __future__ import annotations
@@ -157,21 +157,28 @@ def neg(a: Expr) -> Expr:
 
 
 def involution(r: Expr) -> Expr:
-    """Adjoint: transpose the tree left to right and conjugate scalars."""
-    if r.kind == SCALAR:
-        return scalar(r.value.conjugate())
-    if r.kind == VAR:
-        return r
-    if r.kind == ADD:
-        return add(involution(r.children[0]), involution(r.children[1]))
-    if r.kind == MUL:
-        a, b = r.children
-        # scalars commute; keeping them in place makes s* structurally equal
-        # to s for hermitian s built with scalar coefficients
-        if a.kind == SCALAR or b.kind == SCALAR:
-            return mul(involution(a), involution(b))
-        return mul(involution(b), involution(a))
-    return _node(INV, (involution(r.children[0]),))
+    """Adjoint: transpose the tree left to right and conjugate scalars.
+    Iterative, visiting each distinct node once."""
+    adj: dict[int, Expr] = {}
+    for e in postorder(r):
+        if e.kind == SCALAR:
+            out = scalar(e.value.conjugate())
+        elif e.kind == VAR:
+            out = e
+        elif e.kind == ADD:
+            out = add(*(adj[id(c)] for c in e.children))
+        elif e.kind == MUL:
+            a, b = e.children
+            # scalars commute; keeping them in place makes s* structurally
+            # equal to s for hermitian s built with scalar coefficients
+            if a.kind == SCALAR or b.kind == SCALAR:
+                out = mul(adj[id(a)], adj[id(b)])
+            else:
+                out = mul(adj[id(b)], adj[id(a)])
+        else:
+            out = _node(INV, (adj[id(e.children[0])],))
+        adj[id(e)] = out
+    return adj[id(r)]
 
 
 def postorder(*roots: Expr) -> list[Expr]:

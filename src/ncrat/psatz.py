@@ -144,15 +144,13 @@ def _check_hermitian_function(r: Expr, d: int, rng, trials: int = 12,
         raise ValueError("could not sample the domain to check hermitianness")
 
 
-def _vech_real(A: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a hermitian matrix for the trace pairing."""
-    n = A.shape[0]
-    iu = np.triu_indices(n, 1)
-    return np.concatenate([
-        np.diag(A).real,
-        np.sqrt(2) * A[iu].real,
-        np.sqrt(2) * A[iu].imag,
-    ])
+def _vech(A: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates, for the trace pairing, of each hermitian
+    matrix in the stack A (k, n, n): one row per matrix."""
+    iu = np.triu_indices(A.shape[-1], 1)
+    U = A[:, iu[0], iu[1]]
+    return np.concatenate([np.diagonal(A, axis1=1, axis2=2).real,
+                           np.sqrt(2) * U.real, np.sqrt(2) * U.imag], axis=1)
 
 
 @dataclass
@@ -186,10 +184,9 @@ def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
             for i in range(e):
                 for j in range(e):
                     Lblocks[i][j] = LX[i * n:(i + 1) * n, j * n:(j + 1) * n]
-        for s in range(n):
-            for t in range(n):
-                Cs = np.array([Wa[:, s] for Wa in W]).T  # n x N
-                Ct = np.array([Wb[:, t] for Wb in W]).T
+        cols = [np.array([Wa[:, s] for Wa in W]).T for s in range(n)]  # n x N each
+        for s, Cs in enumerate(cols):
+            for t, Ct in enumerate(cols):
                 T = Cs.conj().T @ Ct  # T[a,b] = (w_a* w_b)(X)[s,t]
                 A1 = (T.T + T.conj()) / 2
                 A2 = (T.T - T.conj()) / 2j
@@ -221,14 +218,11 @@ def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
 def _prune_rows(rows: _Rows, tol: float = RANK_TOL):
     """Drop linearly dependent equality rows (pivoted QR); returns the kept
     indices and whether the full system is consistent with the kept rows."""
-    vecs = []
-    for A, B, fr in zip(rows.hmats, rows.gmats, rows.free):
-        parts = [_vech_real(A)]
-        if B is not None:
-            parts.append(_vech_real(B))
-        parts.append(fr)
-        vecs.append(np.concatenate(parts))
-    Rmat = np.array(vecs)
+    parts = [_vech(np.array(rows.hmats))]
+    if rows.gmats[0] is not None:
+        parts.append(_vech(np.array(rows.gmats)))
+    parts.append(np.array(rows.free))
+    Rmat = np.concatenate(parts, axis=1)
     rhs = np.array(rows.rhs)
     _, Rq, piv = scipy.linalg.qr(Rmat.T, pivoting=True, mode="economic")
     diag = np.abs(np.diag(Rq))
@@ -460,6 +454,8 @@ def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
     cert_target = (ex.sub(ex.scalar(mu), r) if direction == "sup"
                    else ex.sub(r, ex.scalar(mu)))
     resid = _validate(basis, L, H, G, cert_target, R, d, seed)
+    if resid > RESIDUAL_TOL:
+        return OptResult(float("nan"), "solver-failure", None, level, sol.gap)
     squares = _extract_squares(H, basis, EIG_TOL)
     vectors = _extract_vectors(G, basis, L.size, EIG_TOL) if G is not None else ()
     cert = QMCertificate(basis, H, G, squares, vectors, resid, level, carath)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .numkernel import herm_deviation, matrix_to_json, norm_max
 
@@ -188,13 +188,37 @@ def _cholesky_factors(X) -> list[np.ndarray]:
     return [np.linalg.cholesky(Xb) for Xb in X]
 
 
+# The step rule and S^-1 call LAPACK directly: scipy.linalg's wrappers
+# validate their arguments on every call, which costs more than the solves on
+# blocks this small.  The calls and arguments are those the wrappers make, so
+# the results are the same bits; every operand is finite, as the Newton
+# direction is checked before any step test and X, S stay finite with it.
+
+def _tri_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B for a lower triangular, C-ordered L."""
+    trtrs, = get_lapack_funcs(("trtrs",), (L, B))
+    W, info = trtrs(L.T, B, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"singular triangular factor (info {info})")
+    return W
+
+
+def _cho_inverse(L: np.ndarray) -> np.ndarray:
+    """(L L*)^-1 from the lower Cholesky factor L."""
+    potrs, = get_lapack_funcs(("potrs",), (L,))
+    inv, info = potrs(L, np.eye(L.shape[0]), lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"illegal argument {-info} to potrs")
+    return inv
+
+
 def _max_step(LX, dX, frac: float) -> float:
     """Largest alpha <= 1 with X + alpha dX staying positive definite, from
     the Cholesky factors LX of the blocks of X."""
     alpha = 1.0
     for L, dXb in zip(LX, dX):
-        W = scipy.linalg.solve_triangular(L, dXb, lower=True)
-        W = scipy.linalg.solve_triangular(L, W.conj().T, lower=True).conj().T
+        W = _tri_solve(L, dXb)
+        W = _tri_solve(L, W.conj().T).conj().T
         lam = np.linalg.eigvalsh(_herm(W))[0]
         if lam < 0:
             alpha = min(alpha, -frac / lam)
@@ -237,7 +261,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
         Atz = _apply_At(Af, z, dims)
         Rd = [Cb - Sb - Ab for Cb, Sb, Ab in zip(C, S, Atz)]
         rf = f - Bf.T @ z
-        mu = sum(float(np.trace(Xb @ Sb).real) for Xb, Sb in zip(X, S)) / ntot
+        XS = [Xb @ Sb for Xb, Sb in zip(X, S)]
+        mu = sum(float(np.trace(XSb).real) for XSb in XS) / ntot
 
         pobj = sum(float(np.trace(Cb @ Xb).real) for Cb, Xb in zip(C, X)) + float(f @ y)
         dobj = float(b @ z)
@@ -263,7 +288,7 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
         try:
             # these factors also serve the four step-length tests below
             LS = _cholesky_factors(S)
-            Sinv = [scipy.linalg.cho_solve((L, True), np.eye(L.shape[0])) for L in LS]
+            Sinv = [_cho_inverse(L) for L in LS]
             LX = _cholesky_factors(X)
 
             # normal matrix, plus free-variable border
@@ -289,7 +314,7 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
                 return dX, dy, dz, dS
 
             # predictor (affine scaling)
-            Rc_aff = [-Xb @ Sb for Xb, Sb in zip(X, S)]
+            Rc_aff = [-XSb for XSb in XS]
             dXa, dya, dza, dSa = newton(Rc_aff)
             ap = _max_step(LX, dXa, cfg.step_frac)
             ad = _max_step(LS, dSa, cfg.step_frac)
@@ -300,10 +325,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
             sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3) if mu > 0 else 0.0
 
             # corrector
-            Rc = [
-                sigma * mu * np.eye(n) - Xb @ Sb - dXb @ dSb
-                for n, Xb, Sb, dXb, dSb in zip(dims, X, S, dXa, dSa)
-            ]
+            Rc = [sigma * mu * np.eye(n) - XSb - dXb @ dSb
+                  for n, XSb, dXb, dSb in zip(dims, XS, dXa, dSa)]
             dX, dy, dz, dS = newton(Rc)
             ap = _max_step(LX, dX, cfg.step_frac)
             ad = _max_step(LS, dS, cfg.step_frac)

@@ -133,7 +133,38 @@ class TestTau:
         assert ex.tau(ex.involution(e)) == ex.tau(e)
 
 
+def _ref_involution(r):
+    """The involution by recursion on depth, kept as a reference."""
+    if r.kind == ex.SCALAR:
+        return ex.scalar(r.value.conjugate())
+    if r.kind == ex.VAR:
+        return r
+    if r.kind == ex.ADD:
+        return ex.add(_ref_involution(r.children[0]), _ref_involution(r.children[1]))
+    if r.kind == ex.MUL:
+        a, b = r.children
+        if a.kind == ex.SCALAR or b.kind == ex.SCALAR:
+            return ex.mul(_ref_involution(a), _ref_involution(b))
+        return ex.mul(_ref_involution(b), _ref_involution(a))
+    return ex._node(ex.INV, (_ref_involution(r.children[0]),))
+
+
 class TestInvolution:
+    @given(exprs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_node_as_recursive_reference(self, e):
+        assert ex.involution(e) is _ref_involution(e)
+
+    def test_shared_random_trees_match_reference(self, rng):
+        for _ in range(30):
+            e = random_expr(rng, 5, 3)
+            e = ex.add(ex.mul(ex.scalar(2 - 1j), e), ex.mul(e, ex.inv(e)))
+            assert ex.involution(e) is _ref_involution(e)
+
+    def test_deep_sum(self):
+        r = ex.parse("+".join(["x1"] * 5000), d=1)
+        assert ex.involution(r) is r
+
     @given(exprs())
     @settings(max_examples=60, deadline=None)
     def test_involution_involutive(self, e):

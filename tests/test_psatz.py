@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncrat import expr as ex
+from ncrat import psatz
 from ncrat.cli import _load_pencil
 from ncrat.numkernel import matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil, affine_eval
@@ -110,6 +111,13 @@ class TestOptimize:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             optimize_eig(ex.var(1), INTERVAL, direction="max")
+
+    def test_failed_validation_not_optimal(self, monkeypatch):
+        # an optimal SDP whose certificate misses the held-out samples
+        monkeypatch.setattr(psatz, "_validate", lambda *args: 1e-3)
+        out = optimize_eig(ex.var(1), INTERVAL, direction="sup", level=1, seed=0)
+        assert out.status == "solver-failure"
+        assert out.certificate is None
 
 
 class TestBuildSdp:

@@ -7,6 +7,7 @@ import scipy.linalg
 from ncrat import sdpcore
 from ncrat.numkernel import cholesky
 from ncrat.sdpcore import (
+    SDPConfig,
     SDPConstraint,
     SDPProblem,
     _apply_A,
@@ -252,6 +253,162 @@ class TestStackedOperators:
             assert np.abs(got - want).max() <= self.TOL * np.linalg.norm(z) * a_norm
         err = np.abs(_normal_matrix(Af, X, Sinv) - _ref_normal_matrix(cons, X, Sinv)).max()
         assert err <= self.TOL * a_norm ** 2 * x_norm * s_norm
+
+
+def _ref_hkm(p, iters, frac=0.98):
+    """The first iterates (X, y, z) of the solver, written out in loop form:
+    row equilibration, the start scale * I, then `iters` HKM
+    predictor-corrector steps with inverses of S and step lengths from the
+    generalized eigenvalues of (dX, X)."""
+    def herm(A):
+        return (A + A.conj().T) / 2
+
+    dims, m, nf = p.block_dims, p.m, p.nfree
+    nb, ntot = len(dims), sum(dims)
+    rscale = np.ones(m)
+    for i, con in enumerate(p.constraints):
+        nrm = np.sqrt(sum(np.linalg.norm(A) ** 2 for A in con.blocks)
+                      + np.linalg.norm(con.free) ** 2)
+        if nrm > 0:
+            rscale[i] = 1 / nrm
+    A = [[rscale[i] * Ab for Ab in con.blocks] for i, con in enumerate(p.constraints)]
+    B = np.array([rscale[i] * con.free for i, con in enumerate(p.constraints)]).reshape(m, nf)
+    b = np.array([rscale[i] * con.rhs for i, con in enumerate(p.constraints)])
+    C, f = p.obj_blocks, p.obj_free
+
+    def apply_A(Y):
+        return np.array([sum(np.trace(Ai[k] @ Y[k]).real for k in range(nb)) for Ai in A])
+
+    def apply_At(w):
+        return [sum((w[i] * A[i][k] for i in range(m)), np.zeros((n, n), complex))
+                for k, n in enumerate(dims)]
+
+    def step(P, dP):
+        alpha = 1.0
+        for Pb, dPb in zip(P, dP):
+            lam = scipy.linalg.eigh(herm(dPb), Pb, eigvals_only=True)[0]
+            if lam < 0:
+                alpha = min(alpha, -frac / lam)
+        return alpha
+
+    scale = max(1.0, *(np.abs(Cb).max() for Cb in C), *np.abs(b))
+    X = [scale * np.eye(n, dtype=complex) for n in dims]
+    S = [scale * np.eye(n, dtype=complex) for n in dims]
+    y, z = np.zeros(nf), np.zeros(m)
+    for _ in range(iters):
+        rp = b - apply_A(X) - B @ y
+        Rd = [C[k] - S[k] - Atz for k, Atz in enumerate(apply_At(z))]
+        rf = f - B.T @ z
+        mu = sum(np.trace(X[k] @ S[k]).real for k in range(nb)) / ntot
+        Sinv = [np.linalg.inv(Sb) for Sb in S]
+        M = np.array([[sum(np.trace(A[i][k] @ herm(X[k] @ A[j][k] @ Sinv[k])).real
+                           for k in range(nb)) for j in range(m)] for i in range(m)])
+        K = np.block([[M, B], [B.T, np.zeros((nf, nf))]])
+
+        def newton(Rc):
+            base = [herm((Rc[k] - X[k] @ Rd[k]) @ Sinv[k]) for k in range(nb)]
+            sol = np.linalg.solve(K, np.concatenate([rp - apply_A(base), rf]))
+            dz, dy = sol[:m], sol[m:]
+            dS = [Rd[k] - dA for k, dA in enumerate(apply_At(dz))]
+            dX = [herm((Rc[k] - X[k] @ dS[k]) @ Sinv[k]) for k in range(nb)]
+            return dX, dy, dz, dS
+
+        dXa, _, _, dSa = newton([-X[k] @ S[k] for k in range(nb)])
+        ap, ad = step(X, dXa), step(S, dSa)
+        mu_aff = sum(np.trace((X[k] + ap * dXa[k]) @ (S[k] + ad * dSa[k])).real
+                     for k in range(nb)) / ntot
+        sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
+        dX, dy, dz, dS = newton([sigma * mu * np.eye(n) - X[k] @ S[k] - dXa[k] @ dSa[k]
+                                 for k, n in enumerate(dims)])
+        ap, ad = step(X, dX), step(S, dS)
+        X = [herm(X[k] + ap * dX[k]) for k in range(nb)]
+        S = [herm(S[k] + ad * dS[k]) for k in range(nb)]
+        y, z = y + ap * dy, z + ad * dz
+    return X, y, z * rscale
+
+
+class TestStepRule:
+    """The solver's iterates follow the HKM predictor-corrector step, step
+    lengths included: a wrong factor in a step test moves them."""
+
+    TOL = 1e-9  # relative, after at most four steps
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_iterates_match_loop_reference(self, complex_):
+        rng = np.random.default_rng(11 if complex_ else 7)
+        if complex_:
+            p = TestSolve()._random_bounded(rng, dims=(3, 2), m=5, complex_=True)
+        else:
+            p = _random_problem(rng, (3, 2), 5, 1, False)
+
+        def close(got, want):
+            return np.abs(got - want).max() <= self.TOL * (1 + np.abs(want).max())
+
+        for k in range(1, 5):
+            sol = solve(p, SDPConfig(max_iter=k))
+            assert (sol.status, sol.iterations) == ("max-iterations", k)
+            X, y, z = _ref_hkm(p, k)
+            assert all(close(got, want) for got, want in zip(sol.blocks, X))
+            if p.nfree:
+                assert close(sol.free, y)
+            assert close(sol.dual, z)
+
+
+def _lower_factor(rng, n, complex_):
+    G = rng.standard_normal((n, n))
+    if complex_:
+        G = G + 1j * rng.standard_normal((n, n))
+    return np.linalg.cholesky(G @ G.conj().T + n * np.eye(n))
+
+
+class TestDirectLapack:
+    """The step rule and S^-1 call LAPACK without scipy's wrappers."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_same_bits_as_scipy_wrappers(self, rng, n, complex_):
+        L = _lower_factor(rng, n, complex_)
+        B = _lower_factor(rng, n, complex_) @ _lower_factor(rng, n, complex_).conj().T
+        W = sdpcore._tri_solve(L, B)
+        want = scipy.linalg.solve_triangular(L, B, lower=True)
+        assert W.dtype == want.dtype and np.array_equal(W, want)
+        # the step rule's second solve, on a transposed view
+        V = sdpcore._tri_solve(L, W.conj().T)
+        want = scipy.linalg.solve_triangular(L, W.conj().T, lower=True)
+        assert V.dtype == want.dtype and np.array_equal(V, want)
+        Linv = sdpcore._cho_inverse(L)
+        want = scipy.linalg.cho_solve((L, True), np.eye(n))
+        assert Linv.dtype == want.dtype and np.array_equal(Linv, want)
+
+    def test_zero_on_diagonal_raises(self, rng):
+        L = _lower_factor(rng, 4, True)
+        L[2, 2] = 0
+        with pytest.raises(np.linalg.LinAlgError):
+            sdpcore._tri_solve(L, np.eye(4, dtype=complex))
+
+    def test_singular_factor_ends_in_numerical_failure(self, rng, monkeypatch):
+        max_step = sdpcore._max_step
+
+        def singular(LX, dX, frac):
+            LX = [L.copy() for L in LX]
+            for L in LX:
+                L[-1, -1] = 0
+            return max_step(LX, dX, frac)
+
+        monkeypatch.setattr(sdpcore, "_max_step", singular)
+        sol = solve(TestSolve()._random_bounded(rng))
+        assert (sol.status, sol.iterations) == ("numerical-failure", 1)
+
+    def test_solve_calls_no_scipy_wrapper(self, rng, monkeypatch):
+        calls = []
+        for name in ("solve_triangular", "cho_solve"):
+            def spy(*args, _real=getattr(scipy.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, spy)
+        sol = solve(TestSolve()._random_bounded(rng, dims=(3, 2), m=5))
+        assert sol.status == "optimal" and sol.iterations > 1
+        assert calls == []
 
 
 class TestValidation:
