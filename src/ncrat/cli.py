@@ -350,7 +350,7 @@ def _cmd_basis(args, report) -> int:
 def _cmd_certify(args, report) -> int:
     r = _load_expr(args.expr, args.d, args.split_adjoint)
     L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
-    cert = certify_qm(r, L, level=args.level, seed=args.seed, d=args.d)
+    cert = certify_qm(r, L, level=args.level, seed=args.seed, d=args.d, tol=args.tol)
     if cert is None:
         witness = find_violation(r, L, seed=args.seed, d=args.d)
         _emit({
@@ -376,7 +376,7 @@ def _cmd_optimize(args, report) -> int:
     L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
     direction = "sup" if args.sup else "inf"
     res = optimize_eig(r, L, direction, level=args.level, seed=args.seed,
-                       d=args.d)
+                       d=args.d, tol=args.tol)
     _emit(res.to_json())
     if res.status == "optimal":
         report(f"mu = {res.mu:.6f} ({direction}, level {args.level}, "
@@ -391,7 +391,7 @@ def _cmd_export_sdpa(args, report) -> int:
     L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
     direction = None if args.direction == "feas" else args.direction
     prob = build_sdp(r, L, level=args.level, direction=direction,
-                     seed=args.seed, d=args.d)
+                     seed=args.seed, d=args.d, tol=args.tol)
     export_sdpa(prob, args.out)
     _emit({
         "path": args.out,

@@ -393,7 +393,11 @@ def parse(text: str, d: int | None = None, split_adjoint: bool = False) -> Expr:
     if d is None:
         found = re.findall(r"x(\d+)", text)
         d = max((int(s) for s in found), default=0)
-    return _Parser(text, d, split_adjoint).parse()
+    parser = _Parser(text, d, split_adjoint)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Truncated GNS machinery: subexpression sets, product spaces, and the
 extraction of a numerically independent function basis.
 
-The span V_l of products of at most l subexpressions of r and r* is probed by
-evaluating every candidate word at hermitian sample tuples of growing size.
-A greedy rank-revealing sweep over the vectorized evaluations picks a maximal
-independent subset; by the local-global linear dependence principle this is a
-basis of V_l with probability 1.
+The span V_l of products of at most l subexpressions of r and r* is probed
+at hermitian sample tuples of growing size, drawn once each from one stream.
+A greedy rank-revealing sweep grows V_1, V_2, ..., V_l level by level: the
+candidates for V_{k+1} are the kept words of length k times each element of
+R, which together with V_k span V_{k+1}.  By the local-global linear
+dependence principle the kept words are a basis of V_l with probability 1.
 
 Each admitted sample carries an evaluation table: the values of R there, which
 admission computes anyway, and the values of words as prefix products of them.
@@ -37,13 +38,17 @@ __all__ = [
     "SamplingError",
     "SingularGramError",
     "EvalTable",
+    "SampleStream",
     "build_R",
+    "independent_words",
     "build_basis",
     "sample_points",
     "inner_product",
 ]
 
 NORM_CAP = 1e6
+PER_SIZE = 3  # sample tuples drawn per size
+MAX_SIZE = 6  # largest sample size drawn
 
 
 class SamplingError(RuntimeError):
@@ -149,22 +154,17 @@ def inner_product(s1: Expr, s2: Expr, ip: EvalInnerProduct) -> complex:
 class EvalTable:
     """Values at one sample X of the elements of R and of the words over R.
 
-    A word is keyed by its index tuple into R (see `_words`): () is R[0] = 1,
-    (j,) is R[j], and a longer idx is the product of word idx[:-1] and
-    R[idx[-1]], filled on first use.  That is the product, in the same order,
-    that the tree evaluator computes for ex.mul(word, R[j]), so every value is
-    bit-for-bit eval_expr of the word.
+    A word is keyed by its index tuple into R: () is R[0] = 1, (j,) is R[j],
+    and a longer idx is the product of word idx[:-1] and R[idx[-1]], filled
+    on first use.  That is the product, in the same order, that the tree
+    evaluator computes for ex.mul(word, R[j]), so every value is bit-for-bit
+    eval_expr of the word.
     """
 
     def __init__(self, X: MatrixTuple, rvals: tuple[np.ndarray, ...]):
         self.X = X
         self.rvals = rvals
         self._words: dict[tuple[int, ...], np.ndarray] = {}
-
-    @classmethod
-    def of(cls, R: SubexprSet, X: MatrixTuple) -> "EvalTable":
-        """The table at a sample where every element of R is defined."""
-        return cls(X, tuple(eval_expr(q, X) for q in R.exprs))
 
     def word(self, idx: tuple[int, ...]) -> np.ndarray:
         if len(idx) <= 1:
@@ -174,11 +174,6 @@ class EvalTable:
             val = self.word(idx[:-1]) @ self.rvals[idx[-1]]
             self._words[idx] = val
         return val
-
-    def forget_words(self) -> None:
-        """Drop the stored word values; the R values stay, and a later lookup
-        fills the words it needs again."""
-        self._words.clear()
 
 
 def _admits(R: SubexprSet, X: MatrixTuple, cap: float = NORM_CAP):
@@ -221,69 +216,95 @@ def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
     return out
 
 
-def _words(R: SubexprSet, level: int):
-    """All products of at most `level` elements of R, structurally deduped,
-    each with its index tuple into R.
+class SampleStream:
+    """Hermitian sample tuples in the common domain of R, PER_SIZE of each size
+    1, 2, ..., with their evaluation tables.  Each size is drawn once, on
+    first demand, from one generator, so every reader of the stream sees the
+    same tuples."""
 
-    Words are yielded by increasing length so that a basis extracted by an
-    in-order sweep at level l is a prefix of the one at level l+1.  The
-    prefix idx[:-1] of every word is itself a word.
+    def __init__(self, R: SubexprSet, seed=0, d: int | None = None):
+        self.R = R
+        self.d = d
+        self.rng = np.random.default_rng(seed)
+        self.sizes: list[list[EvalTable]] = []  # sizes[n - 1]: those of size n
+
+    def upto(self, n: int) -> list[EvalTable]:
+        """The tables of sizes 1..n."""
+        while len(self.sizes) < n:
+            self.sizes.append(sample_points(self.R, [len(self.sizes) + 1], self.rng,
+                                            per_size=PER_SIZE, d=self.d))
+        return [t for size in self.sizes[:n] for t in size]
+
+
+def _sweep(R: SubexprSet, level: int, tables, tol: float):
+    """(word, index tuple) pairs of an independent subset of V_level, from an
+    in-order greedy sweep over the words' values at the tables' samples.
+
+    The candidates are 1, then the elements of R, then for each length k the
+    kept words of length k times each R[j], deduped by node.  A candidate is
+    kept iff its residual against the kept words exceeds tol times the
+    largest norm of the candidates formed so far, its own length's included.
+    The order (by length, then prefix, then j) gives the basis prefix
+    property, and the prefix idx[:-1] of every kept word is kept.
     """
     one = R.exprs[0]
     seen = {one}
-    words = [(one, ())]
-    frontier = [((), one)]
-    for _ in range(level):
-        nxt = []
-        for idx, w in frontier:
+    kept = []
+    Q = np.zeros((sum(t.X.rows ** 2 for t in tables), 0), dtype=complex)
+    scale = 0.0
+    frontier = [(one, ())]
+    for length in range(level + 1):
+        if not frontier:
+            break
+        C = np.array([np.concatenate([t.word(idx).ravel() for t in tables])
+                      for _, idx in frontier], dtype=complex)
+        scale = max(scale, float(np.max(np.linalg.norm(C, axis=1))))
+        start = len(kept)
+        for (w, idx), c in zip(frontier, C):
+            # two passes of classical Gram-Schmidt for stability
+            for _ in range(2):
+                c = c - Q @ (Q.conj().T @ c)
+            nrm = np.linalg.norm(c)
+            if nrm > tol * scale:
+                kept.append((w, idx))
+                Q = np.hstack([Q, (c / nrm).reshape(-1, 1)])
+        frontier = []
+        for w, idx in kept[start:] if length < level else ():
             for j in range(1, len(R.exprs)):
                 prod = ex.mul(w, R.exprs[j]) if idx else R.exprs[j]
-                if prod in seen:
-                    continue
-                seen.add(prod)
-                words.append((prod, idx + (j,)))
-                nxt.append((idx + (j,), prod))
-        frontier = nxt
-    return words
+                if prod not in seen:
+                    seen.add(prod)
+                    frontier.append((prod, idx + (j,)))
+    return kept
 
 
-def _greedy_select(A: np.ndarray, tol: float = RANK_TOL) -> list[int]:
-    """In-order greedy rank-revealing column selection.
-
-    Keeps column j iff its residual against the span of the columns kept so
-    far exceeds tol times the largest column norm.  Equivalent in rank to a
-    pivoted QR, but order preserving, which is what gives the basis prefix
-    property.
-    """
-    norms = np.linalg.norm(A, axis=0)
-    scale = float(np.max(norms)) if A.size else 0.0
-    if scale == 0.0:
-        return []
-    Q = np.zeros((A.shape[0], 0), dtype=complex)
-    keep = []
-    for j in range(A.shape[1]):
-        c = A[:, j].astype(complex)
-        # two passes of classical Gram-Schmidt for stability
-        for _ in range(2):
-            c = c - Q @ (Q.conj().T @ c)
-        nrm = np.linalg.norm(c)
-        if nrm > tol * scale:
-            keep.append(j)
-            Q = np.hstack([Q, (c / nrm).reshape(-1, 1)])
-    return keep
+def independent_words(stream: SampleStream, level: int, tol: float = RANK_TOL):
+    """The (word, index tuple) pairs the sweep keeps for V_level and the tables
+    it stopped at: sample sizes grow until the number kept is unchanged across
+    two consecutive size increments, or MAX_SIZE is reached."""
+    kept = _sweep(stream.R, level, stream.upto(1), tol)
+    stable, n = 0, 1
+    while stable < 2 and n < MAX_SIZE:
+        n += 1
+        new = _sweep(stream.R, level, stream.upto(n), tol)
+        stable = stable + 1 if len(new) == len(kept) else 0
+        kept = new
+    return kept, stream.upto(n)
 
 
 @dataclass(frozen=True)
 class FunctionBasis:
     """Numerically independent basis of V_level, with its evaluation inner
-    product and Gram matrix.  indices[k] is the index tuple of exprs[k] over
-    the R it was built from, for lookups in that R's evaluation tables."""
+    product, Gram matrix and the evaluation tables of its samples.
+    indices[k] is the index tuple of exprs[k] over the R it was built from,
+    for lookups in the tables."""
 
     level: int
     exprs: tuple[Expr, ...]
     indices: tuple[tuple[int, ...], ...]
     ip: EvalInnerProduct
     gram: np.ndarray
+    tables: tuple[EvalTable, ...]
 
     @property
     def dim(self) -> int:
@@ -298,50 +319,24 @@ class FunctionBasis:
         }
 
 
-def build_basis(R: SubexprSet, level: int, seed=0, per_size: int = 3,
-                max_size: int = 6, trial_budget: int = 200,
-                tol: float = RANK_TOL, d: int | None = None,
-                compute_gram: bool = True) -> FunctionBasis:
+def build_basis(R: SubexprSet, level: int, seed=0, tol: float = RANK_TOL,
+                d: int | None = None,
+                stream: SampleStream | None = None) -> FunctionBasis:
     """Extract a basis of V_level = span of words of length <= level over R.
 
-    Sample sizes grow until the numerical rank is unchanged across two
-    consecutive size increments.
+    The samples come from `stream`, by default a new SampleStream over R
+    from seed and d.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    rng = np.random.default_rng(seed)
-    words = _words(R, level)
-    tables = []
-    M = None  # row k: the values of word k at all samples so far, raveled
-
-    def add_size(n: int) -> list[int]:
-        nonlocal M
-        new = sample_points(R, [n], rng, per_size=per_size,
-                            trial_budget=trial_budget, d=d)
-        parts = [] if M is None else [M]
-        for t in new:
-            parts.append(np.array([t.word(idx).ravel() for _, idx in words]))
-            # M holds them now; the Gram needs only the basis words
-            t.forget_words()
-        tables.extend(new)
-        M = np.hstack(parts)
-        return _greedy_select(M.T, tol)
-
-    keep = add_size(1)
-    stable = 0
-    n = 2
-    while stable < 2 and n <= max_size:
-        new_keep = add_size(n)
-        stable = stable + 1 if len(new_keep) == len(keep) else 0
-        keep = new_keep
-        n += 1
+    if stream is None:
+        stream = SampleStream(R, seed, d)
+    kept, tables = independent_words(stream, level, tol)
     samples = tuple(t.X for t in tables)
     ip = EvalInnerProduct(samples, default_weights(samples))
-    basis = tuple(words[j][0] for j in keep)
-    indices = tuple(words[j][1] for j in keep)
+    basis = tuple(w for w, _ in kept)
+    indices = tuple(idx for _, idx in kept)
     N = len(basis)
-    if not compute_gram:
-        return FunctionBasis(level, basis, indices, ip, np.zeros((0, 0)))
     vals = [[t.word(idx) for t in tables] for idx in indices]
     gram = np.zeros((N, N), dtype=complex)
     for i in range(N):
@@ -354,4 +349,4 @@ def build_basis(R: SubexprSet, level: int, seed=0, per_size: int = 3,
     w, _ = hermitian_eig(gram * np.outer(dscale, dscale))
     if w[0] <= N * np.finfo(float).eps:
         raise SingularGramError(N, float(w[0]))
-    return FunctionBasis(level, basis, indices, ip, gram)
+    return FunctionBasis(level, basis, indices, ip, gram, tuple(tables))

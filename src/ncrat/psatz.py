@@ -38,12 +38,14 @@ from .realization import DomainError, eval_expr
 from .gnsbasis import (
     EvalTable,
     FunctionBasis,
+    SampleStream,
     SubexprSet,
     build_R,
     build_basis,
+    independent_words,
     sample_points,
 )
-from .sdpcore import SDPConfig, SDPConstraint, SDPProblem, solve
+from .sdpcore import SDPConstraint, SDPProblem, solve
 
 __all__ = [
     "QMCertificate",
@@ -235,31 +237,15 @@ def _prune_rows(rows: _Rows, tol: float = RANK_TOL):
     return keep, resid
 
 
-def _separation_rank(indices, tables, tol: float = RANK_TOL) -> int:
+def _separation_rank(words, tables, tol: float) -> int:
     cols = [np.concatenate([t.word(idx).ravel() for t in tables])
-            for idx in indices]
+            for _, idx in words]
     A = np.array(cols).T
     # column normalization: injectivity is scale-free, conditioning is not
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
     rank, _ = svd_rank(A / norms, tol)
     return rank
-
-
-def _verify_injectivity(R: SubexprSet, level: int, tables: list, d: int,
-                        seed, rng, tol: float = RANK_TOL) -> int:
-    """Rank check: evaluations at the samples of the tables separate
-    V_{level}; the table list is grown in place if they do not.  Returns
-    dim V_{level}."""
-    big = build_basis(R, level, seed=seed, d=d, compute_gram=False)
-    for _ in range(4):
-        if _separation_rank(big.indices, tables, tol) == big.dim:
-            return big.dim
-        tables += sample_points(R, [2, 3, 4], rng, per_size=2, d=d)
-    raise RuntimeError(
-        f"sample set does not separate the level-{level} product space "
-        f"(dim {big.dim})"
-    )
 
 
 def _extract_squares(H: np.ndarray, basis: FunctionBasis, tol: float):
@@ -335,17 +321,28 @@ def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed) -> floa
     return worst
 
 
-def _setup(r: Expr, L: HomogeneousPencil | None, level: int, seed, d=None):
+def _setup(r: Expr, L: HomogeneousPencil | None, level: int, seed, d=None,
+           tol: float = RANK_TOL):
+    """The padded problem, R, the basis of V_level, the SDP's evaluation
+    tables and the Caratheodory bound 1 + dim V_{2 level + 1}.  The tables
+    must separate V_{2 level + 1}: the basis's own when they do, else those
+    at which the V_{2 level + 1} sweep on the same stream stopped."""
     if level < 1:
         raise ValueError("level must be >= 1")
     d, L = _pad_lmi(r, L, d)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    _check_hermitian_function(r, d, rng)
+    _check_hermitian_function(
+        r, d, np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
     R = _augment_R(r, d)
-    basis = build_basis(R, level, seed=seed, d=d)
-    tables = [EvalTable.of(R, X) for X in basis.ip.samples]
-    carath = 1 + _verify_injectivity(R, 2 * level + 1, tables, d, seed, rng)
-    return d, L, R, basis, tables, carath
+    stream = SampleStream(R, seed, d)
+    basis = build_basis(R, level, tol=tol, stream=stream)
+    words, big_tables = independent_words(stream, 2 * level + 1, tol)
+    for tables in (basis.tables, big_tables):
+        if _separation_rank(words, tables, tol) == len(words):
+            return d, L, R, basis, tables, 1 + len(words)
+    raise RuntimeError(
+        f"sample set does not separate the level-{2 * level + 1} product "
+        f"space (dim {len(words)})"
+    )
 
 
 def _objective(r: Expr, direction: str | None):
@@ -390,28 +387,27 @@ def _build_problem(basis, L, tables, target, mu_sign, obj_free):
 
 
 def build_sdp(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
-              direction: str | None = None, seed=0,
-              d: int | None = None) -> SDPProblem:
+              direction: str | None = None, seed=0, d: int | None = None,
+              tol: float = RANK_TOL) -> SDPProblem:
     """The SDP posed by certify_qm (direction None) or optimize_eig."""
     target, mu_sign, obj_free = _objective(r, direction)
-    _, L, _, basis, tables, _ = _setup(r, L, level, seed, d)
+    _, L, _, basis, tables, _ = _setup(r, L, level, seed, d, tol)
     prob, _ = _build_problem(basis, L, tables, target, mu_sign, obj_free)
     return prob
 
 
 def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
                seed=0, d: int | None = None,
-               sdp_config: SDPConfig | None = None,
-               residual_tol: float = RESIDUAL_TOL) -> QMCertificate | None:
+               tol: float = RANK_TOL) -> QMCertificate | None:
     """Certify r in the level-`level` quadratic module of the monic LMI
     L = (I, H1..Hk), or return None.
 
     None means not-certified at this level, which is weaker than "not
     positive": the hierarchy is only complete at level 2 tau(r) + 1.
     """
-    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d)
+    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d, tol)
     prob, lin_resid = _build_problem(basis, L, tables, r, None, 0.0)
-    sol = solve(prob, sdp_config)
+    sol = solve(prob)
     if lin_resid > 1e-7:
         return None
     if sol.status not in ("optimal",):
@@ -419,7 +415,7 @@ def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
     H = sol.blocks[0]
     G = sol.blocks[1] if L is not None else None
     resid = _validate(basis, L, H, G, r, R, d, seed)
-    if resid > residual_tol:
+    if resid > RESIDUAL_TOL:
         return None
     squares = _extract_squares(H, basis, EIG_TOL)
     vectors = _extract_vectors(G, basis, L.size, EIG_TOL) if G is not None else ()
@@ -428,8 +424,7 @@ def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
 
 def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
                  direction: str = "sup", level: int = 1, seed=0,
-                 d: int | None = None,
-                 sdp_config: SDPConfig | None = None) -> OptResult:
+                 d: int | None = None, tol: float = RANK_TOL) -> OptResult:
     """Best eigenvalue bound of r over the spectrahedron of the monic LMI
     L = (I, H1..Hk) at this level.
 
@@ -438,9 +433,9 @@ def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
     target, mu_sign, obj_free = _objective(r, direction)
-    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d)
+    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d, tol)
     prob, lin_resid = _build_problem(basis, L, tables, target, mu_sign, obj_free)
-    sol = solve(prob, sdp_config)
+    sol = solve(prob)
     if sol.status == "infeasible":
         return OptResult(float("nan"), "infeasible-at-level", None, level, sol.gap)
     if sol.status == "unbounded":

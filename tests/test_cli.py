@@ -147,6 +147,24 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == [[[600.0, 0.0]]]
 
+    def test_deep_nesting_usage(self, capsys, tmp_path):
+        p = tmp_path / "nested.txt"
+        p.write_text("inv(" * 400 + "x1" + ")" * 400)
+        code, out, err = _run(capsys, ["realize", f"@{p}"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "expression error: expression nested too deeply" in err
+
+    @pytest.mark.parametrize("argv", [["certify"], ["optimize", "--inf"]])
+    def test_tol_reaches_psatz(self, capsys, argv):
+        # with no rank tolerance, dependent words of x1*x1 enter the basis,
+        # as they do for `basis x1*x1 --level 2 --tol 0`
+        code, out, err = _run(capsys, argv[:1] + ["x1*x1"] + argv[1:]
+                              + ["--level", "2", "--tol", "0"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "singular Gram matrix of the 6-element basis" in err
+
     def test_affine_pencil_to_extend_side_usage(self, capsys, fixtures):
         code, _, _ = _run(capsys, ["extend", "side", "--pencil", fixtures["affine.json"],
                                    "--x", fixtures["tall.json"]])

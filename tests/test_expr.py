@@ -246,6 +246,13 @@ class TestParsePrint:
         with pytest.raises(ex.ParseError):
             ex.parse(bad, d=3)
 
+    @pytest.mark.parametrize("text", ["(" * 1200 + "x1" + ")" * 1200,
+                                      "inv(" * 400 + "x1" + ")" * 400],
+                             ids=["parens", "inv"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ex.ParseError, match="nested too deeply"):
+            ex.parse(text, d=1)
+
     def test_index_out_of_range(self):
         with pytest.raises(ex.ParseError):
             ex.parse("x4", d=3)

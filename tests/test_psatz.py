@@ -1,13 +1,15 @@
 """Quadratic-module certificates, eigenvalue optimization, identity checking."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncrat import expr as ex
-from ncrat import psatz
+from ncrat import gnsbasis, psatz
 from ncrat.cli import _load_pencil
+from ncrat.gnsbasis import build_R, build_basis, independent_words
 from ncrat.numkernel import matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil, affine_eval
 from ncrat.psatz import (
@@ -118,6 +120,64 @@ class TestOptimize:
         out = optimize_eig(ex.var(1), INTERVAL, direction="sup", level=1, seed=0)
         assert out.status == "solver-failure"
         assert out.certificate is None
+
+
+class TestSetup:
+    def test_samples_drawn_once(self, monkeypatch):
+        # the V_1 basis and the V_3 check read one sample stream, so together
+        # they draw no more tuples than the V_3 sweep alone
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return random_tuple(*args, **kwargs)
+
+        monkeypatch.setattr(gnsbasis, "random_tuple", counted)
+        r = ex.parse("inv(2-x1)", d=1)
+        psatz._setup(r, None, 1, 0)
+        drawn = len(calls)
+        calls.clear()
+        build_basis(build_R(r), 3, seed=0)
+        assert 0 < drawn <= len(calls)
+
+    def test_falls_back_to_the_check_tables(self, monkeypatch):
+        rank = psatz._separation_rank
+        seen = []
+        sweeps = []
+
+        def short_once(words, tables, tol):
+            seen.append(tables)
+            return rank(words, tables, tol) - (len(seen) == 1)
+
+        def spy(stream, level, tol):
+            sweeps.append(independent_words(stream, level, tol))
+            return sweeps[-1]
+
+        monkeypatch.setattr(psatz, "_separation_rank", short_once)
+        monkeypatch.setattr(psatz, "independent_words", spy)
+        r = ex.parse("inv(2-x1)", d=1)
+        _, _, _, basis, tables, carath = psatz._setup(r, INTERVAL, 1, 0)
+        (words, check_tables), = sweeps
+        assert seen[0] is basis.tables
+        assert tables is check_tables
+        assert len(tables) > len(basis.tables)
+        assert carath == 1 + len(words)
+
+    def test_no_separation_raises(self, monkeypatch):
+        monkeypatch.setattr(psatz, "_separation_rank", lambda *args: -1)
+        with pytest.raises(RuntimeError, match="does not separate the level-3"):
+            psatz._setup(ex.parse("inv(2-x1)", d=1), INTERVAL, 1, 0)
+
+    def test_level2_memory(self):
+        # candidates grow from the kept basis, not from every word of V_5
+        tracemalloc.start()
+        try:
+            optimize_eig(ex.parse("x1*inv(3-x1)*inv(3-x1)", d=1), INTERVAL,
+                         direction="sup", level=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestBuildSdp:
