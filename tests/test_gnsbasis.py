@@ -130,10 +130,10 @@ class TestSamplePoints:
 
 class TestBuildBasis:
     def test_monomials_dim(self):
-        # over R = {1, x1}: words of length <= l span {1, x1, ..., x1^l}
+        # over R = {1, x1}: words of length <= 2 span {1, x1, x1^2}
         R = build_R(ex.var(1))
-        for level in (2, 3):
-            assert build_basis(R, level, seed=0).dim == level + 1
+        basis = build_basis(R, 2, seed=0)
+        assert basis.dim == 3
 
     def test_inverse_level1_dim(self):
         # 1, x1, inv(1-x1) independent; 1-x1 is a combination
@@ -165,6 +165,14 @@ class TestBuildBasis:
         d = 1.0 / np.sqrt(np.abs(np.diag(g)))
         w, _ = hermitian_eig(g * np.outer(d, d))
         assert w[0] > 0
+
+    def test_compute_gram_false(self):
+        # build_basis no longer takes compute_gram: the level-3 basis over
+        # {1, x1} is {1, x1, x1^2, x1^3}, and its Gram matrix is always formed
+        R = build_R(ex.var(1))
+        basis = build_basis(R, 3, seed=0)
+        assert basis.dim == 4
+        assert basis.gram.shape == (4, 4)
 
     def test_tables_are_the_samples(self):
         basis = build_basis(build_R(ex.parse("inv(2-x1)")), 2, seed=0)
