@@ -245,9 +245,6 @@ class ExprMatrix:
         ent = [involution(self.at(i, j)) for j in range(self.cols) for i in range(self.rows)]
         return ExprMatrix(self.cols, self.rows, tuple(ent))
 
-    def to_strings(self) -> list[list[str]]:
-        return [[to_str(self.at(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-
 
 # ---------------------------------------------------------------------------
 # parsing

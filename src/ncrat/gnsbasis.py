@@ -29,7 +29,7 @@ from .numkernel import (
     norm_max,
     random_tuple,
 )
-from .realization import DomainError, eval_expr
+from .realization import DomainError, eval_expr, eval_exprs
 
 __all__ = [
     "SubexprSet",
@@ -178,16 +178,15 @@ class EvalTable:
 
 def _admits(R: SubexprSet, X: MatrixTuple, cap: float = NORM_CAP):
     """(table, None) when all elements of R are defined at X with norms under
-    the cap; (None, blocking subexpression) if not."""
-    vals = []
-    for q in R.exprs:
-        try:
-            val = eval_expr(q, X)
-        except DomainError as err:
-            return None, err.subexpr
+    the cap; (None, blocking subexpression) if not.  R is evaluated in one
+    memoised pass, so shared subexpressions are computed once."""
+    try:
+        vals = eval_exprs(R.exprs, X)
+    except DomainError as err:
+        return None, err.subexpr
+    for q, val in zip(R.exprs, vals):
         if norm_max(val) > cap:
             return None, q
-        vals.append(val)
     return EvalTable(X, tuple(vals)), None
 
 

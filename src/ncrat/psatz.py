@@ -12,10 +12,17 @@ imposed as linear equalities of evaluations at hermitian sample tuples chosen
 so the evaluation map is injective on the ambient product space V_{2l+1}.
 Eigenvalue bounds replace r by mu - r (sup) or r - mu (inf) with mu a free
 scalar SDP variable.
+
+Certification, both bounds and build_sdp pose the problem along one path:
+the equality rows are assembled as stacked coefficient arrays and pruned to
+an independent set.  A solution is accepted only if the full equality system
+and the held-out samples both agree to RESIDUAL_TOL; one extractor then
+factors H into squares and G into localized vectors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,77 +162,63 @@ def _vech(A: np.ndarray) -> np.ndarray:
                            np.sqrt(2) * U.real, np.sqrt(2) * U.imag], axis=1)
 
 
-@dataclass
-class _Rows:
-    """Accumulated linear equality rows over (H, G, free scalars)."""
+def _lmi_blocks(L: HomogeneousPencil, X: MatrixTuple) -> list[list[np.ndarray]]:
+    """L(X) as its e x e grid of n x n blocks: [i][j] is sum_k (H_k)_ij X_k."""
+    n = X.rows
+    LX = affine_eval(L, X)
+    return [[LX[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(L.size)]
+            for i in range(L.size)]
 
-    hmats: list
-    gmats: list
-    free: list
-    rhs: list
+
+def _split(T: np.ndarray) -> np.ndarray:
+    """For each matrix T in the stack, the hermitian coefficient matrices of
+    Re tr(H T^T) and Im tr(H T^T) over hermitian H, as consecutive rows."""
+    Tt, Tc = T.swapaxes(1, 2), T.conj()
+    return np.stack([(Tt + Tc) / 2, (Tt - Tc) / 2j], axis=1).reshape(-1, *T.shape[1:])
 
 
 def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
-                   mu_sign: float | None, target: Expr) -> _Rows:
+                   mu_sign: float | None, target: Expr):
     """Evaluation-equality rows: for each sample (given by its evaluation
-    table) and matrix entry, tr(H A) + tr(G B) + mu_sign*mu*delta = target
-    entry, split into real and imaginary parts with hermitian coefficient
-    matrices.  The G part is present when the LMI L is."""
-    N = basis.dim
-    use_loc = L is not None
-    rows = _Rows([], [], [], [])
+    table) and matrix entry (s, t), tr(H A) + tr(G B) + mu_sign*mu*delta_st
+    = target entry, split into a real and an imaginary row.
+
+    Returns the stacks A (m, N, N) and B (m, Ne, Ne), or None when there is
+    no LMI, the free-scalar columns (m, 0 or 1) and the right-hand sides."""
+    hparts, gparts, rhs = [], [], []
     for table in tables:
         X = table.X
         n = X.rows
         W = [table.word(idx) for idx in basis.indices]
-        tgt = eval_expr(target, X)
-        if use_loc:
-            e = L.size
-            Lblocks = [[None] * e for _ in range(e)]
-            LX = affine_eval(L, X)
-            for i in range(e):
-                for j in range(e):
-                    Lblocks[i][j] = LX[i * n:(i + 1) * n, j * n:(j + 1) * n]
         cols = [np.array([Wa[:, s] for Wa in W]).T for s in range(n)]  # n x N each
-        for s, Cs in enumerate(cols):
-            for t, Ct in enumerate(cols):
-                T = Cs.conj().T @ Ct  # T[a,b] = (w_a* w_b)(X)[s,t]
-                A1 = (T.T + T.conj()) / 2
-                A2 = (T.T - T.conj()) / 2j
-                if use_loc:
-                    Q = np.zeros((N * e, N * e), dtype=complex)
-                    for i in range(e):
-                        for j in range(e):
-                            Q[i::e, j::e] = Cs.conj().T @ Lblocks[i][j] @ Ct
-                    B1 = (Q.T + Q.conj()) / 2
-                    B2 = (Q.T - Q.conj()) / 2j
-                else:
-                    B1 = B2 = None
-                c = tgt[s, t]
-                delta = 1.0 if s == t else 0.0
-                if mu_sign is None:
-                    rows.hmats.append(A1); rows.gmats.append(B1)
-                    rows.free.append(np.zeros(0)); rows.rhs.append(c.real)
-                    rows.hmats.append(A2); rows.gmats.append(B2)
-                    rows.free.append(np.zeros(0)); rows.rhs.append(c.imag)
-                else:
-                    rows.hmats.append(A1); rows.gmats.append(B1)
-                    rows.free.append(np.array([mu_sign * delta]))
-                    rows.rhs.append(c.real)
-                    rows.hmats.append(A2); rows.gmats.append(B2)
-                    rows.free.append(np.array([0.0])); rows.rhs.append(c.imag)
-    return rows
+        # T[s n + t][a, b] = (w_a* w_b)(X)[s, t]
+        hparts.append(_split(np.array([Cs.conj().T @ Ct for Cs in cols for Ct in cols])))
+        if L is not None:
+            e = L.size
+            blocks = _lmi_blocks(L, X)
+            Q = np.empty((n * n, basis.dim * e, basis.dim * e), dtype=complex)
+            for s, Cs in enumerate(cols):
+                for i in range(e):
+                    for j in range(e):
+                        CsL = Cs.conj().T @ blocks[i][j]
+                        for t, Ct in enumerate(cols):
+                            Q[s * n + t, i::e, j::e] = CsL @ Ct
+            gparts.append(_split(Q))
+        tgt = eval_expr(target, X)
+        rhs.append(np.stack([tgt.real, tgt.imag], axis=-1).ravel())
+    rhs = np.concatenate(rhs)
+    free = np.zeros((len(rhs), 0 if mu_sign is None else 1))
+    if mu_sign is not None:  # mu_sign * delta_st on the real rows
+        free[::2, 0] = mu_sign * np.concatenate([np.eye(t.X.rows).ravel() for t in tables])
+    return (np.concatenate(hparts), np.concatenate(gparts) if gparts else None,
+            free, rhs)
 
 
-def _prune_rows(rows: _Rows, tol: float = RANK_TOL):
+def _prune_rows(A: np.ndarray, B: np.ndarray | None, free: np.ndarray,
+                rhs: np.ndarray, tol: float = RANK_TOL):
     """Drop linearly dependent equality rows (pivoted QR); returns the kept
-    indices and whether the full system is consistent with the kept rows."""
-    parts = [_vech(np.array(rows.hmats))]
-    if rows.gmats[0] is not None:
-        parts.append(_vech(np.array(rows.gmats)))
-    parts.append(np.array(rows.free))
-    Rmat = np.concatenate(parts, axis=1)
-    rhs = np.array(rows.rhs)
+    indices and the residual of the full system's least-squares solution."""
+    Rmat = np.concatenate([_vech(S) for S in (A, B) if S is not None] + [free], axis=1)
     _, Rq, piv = scipy.linalg.qr(Rmat.T, pivoting=True, mode="economic")
     diag = np.abs(np.diag(Rq))
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
@@ -248,44 +241,26 @@ def _separation_rank(words, tables, tol: float) -> int:
     return rank
 
 
-def _extract_squares(H: np.ndarray, basis: FunctionBasis, tol: float):
-    w_eig, V = hermitian_eig(H)
-    top = w_eig[-1] if w_eig.size else 0.0
-    squares = []
-    for k in range(len(w_eig) - 1, -1, -1):
-        lam = w_eig[k]
-        if lam <= tol * max(top, 1.0):
+def _extract(M: np.ndarray, basis: FunctionBasis, e: int, tol: float):
+    """Factor the Gram matrix M over C^e (x) w: for each eigenpair (lam, v)
+    with lam above tol * max(largest eigenvalue, 1), largest first, the
+    e-vector of expressions sum_a h[a, i] w_a, h = conj(sqrt(lam) v) as an
+    N x e array, dropping the coefficients below 1e-9 max|h|.  The squares
+    of H are the case e = 1."""
+    w, V = hermitian_eig(M)
+    floor = tol * max(*w[-1:], 1.0)
+    out = []
+    for lam, v in zip(w[::-1], V.T[::-1]):
+        if lam <= floor:
             break
-        g = V[:, k] * np.sqrt(lam)
-        cut = 1e-9 * np.max(np.abs(g))
-        acc = ex.scalar(0)
-        for a, b in enumerate(basis.exprs):
-            ca = np.conj(g[a])
-            if abs(ca) > cut:
-                acc = ex.add(acc, ex.mul(ex.scalar(ca), b))
-        squares.append(acc)
-    return tuple(squares)
-
-
-def _extract_vectors(G: np.ndarray, basis: FunctionBasis, e: int, tol: float):
-    w_eig, V = hermitian_eig(G)
-    top = w_eig[-1] if w_eig.size else 0.0
-    vectors = []
-    for k in range(len(w_eig) - 1, -1, -1):
-        lam = w_eig[k]
-        if lam <= tol * max(top, 1.0):
-            break
-        h = V[:, k] * np.sqrt(lam)
-        vec = []
-        for i in range(e):
-            acc = ex.scalar(0)
-            for a, b in enumerate(basis.exprs):
-                ca = np.conj(h[a * e + i])
-                if abs(ca) > 1e-14:
-                    acc = ex.add(acc, ex.mul(ex.scalar(ca), b))
-            vec.append(acc)
-        vectors.append(tuple(vec))
-    return tuple(vectors)
+        h = np.conj(v * np.sqrt(lam)).reshape(-1, e)
+        cut = 1e-9 * np.max(np.abs(h))
+        out.append(tuple(
+            functools.reduce(ex.add, (ex.mul(ex.scalar(c), b)
+                                      for c, b in zip(h[:, i], basis.exprs)
+                                      if abs(c) > cut), ex.scalar(0))
+            for i in range(e)))
+    return tuple(out)
 
 
 def _reconstruct(basis: FunctionBasis, L: HomogeneousPencil | None, H, G,
@@ -297,13 +272,10 @@ def _reconstruct(basis: FunctionBasis, L: HomogeneousPencil | None, H, G,
     out = Wcat.conj().T @ kron(H, np.eye(n)) @ Wcat
     if G is not None:
         e = L.size
-        LX = affine_eval(L, X)
-        for i in range(e):
-            for j in range(e):
-                Lij = LX[i * n:(i + 1) * n, j * n:(j + 1) * n]
-                Gij = G[i::e, j::e]
+        for i, row in enumerate(_lmi_blocks(L, X)):
+            for j, Lij in enumerate(row):
                 LW = np.vstack([Lij @ Wb for Wb in W])
-                out += Wcat.conj().T @ kron(Gij, np.eye(n)) @ LW
+                out += Wcat.conj().T @ kron(G[i::e, j::e], np.eye(n)) @ LW
     return out
 
 
@@ -361,28 +333,18 @@ def _objective(r: Expr, direction: str | None):
 
 def _build_problem(basis, L, tables, target, mu_sign, obj_free):
     """Assemble the membership SDP at the samples of the evaluation tables;
-    returns (problem, linear residual of the pruned equality system).  L is
-    the padded LMI or None."""
-    use_loc = L is not None
-    rows = _assemble_rows(basis, L, tables, mu_sign, target)
-    keep, lin_resid = _prune_rows(rows)
-    N = basis.dim
-    dims = (N, N * L.size) if use_loc else (N,)
-    nfree = 0 if mu_sign is None else 1
-    cons = []
-    for idx in keep:
-        blocks = [rows.hmats[idx]]
-        if use_loc:
-            blocks.append(rows.gmats[idx])
-        cons.append(SDPConstraint(tuple(blocks), rows.free[idx][:nfree] if nfree
-                    else np.zeros(0), rows.rhs[idx]))
-    if mu_sign is None:
-        obj_blocks = tuple(np.eye(n) for n in dims)
-        of = np.zeros(0)
-    else:
-        obj_blocks = tuple(np.zeros((n, n)) for n in dims)
-        of = np.array([obj_free])
-    prob = SDPProblem(dims, nfree, obj_blocks, of, tuple(cons))
+    returns (problem, least-squares residual of the full equality system).
+    L is the padded LMI or None."""
+    A, B, free, rhs = _assemble_rows(basis, L, tables, mu_sign, target)
+    keep, lin_resid = _prune_rows(A, B, free, rhs)
+    stacks = [S[keep] for S in (A, B) if S is not None]
+    dims = tuple(S.shape[1] for S in stacks)
+    nfree = free.shape[1]
+    cons = tuple(SDPConstraint(tuple(S[k] for S in stacks), free[i], rhs[i])
+                 for k, i in enumerate(keep))
+    # certification minimizes the trace; a bound minimizes obj_free * mu
+    obj_blocks = tuple(np.zeros((n, n)) if nfree else np.eye(n) for n in dims)
+    prob = SDPProblem(dims, nfree, obj_blocks, np.full(nfree, obj_free), cons)
     return prob, lin_resid
 
 
@@ -396,6 +358,31 @@ def build_sdp(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
     return prob
 
 
+def _membership(r: Expr, L, level: int, seed, d, tol, direction: str | None):
+    """Pose and solve the membership SDP of r (direction None) or of its
+    sup/inf bound, then check the result: the least-squares residual of the
+    full equality system and the worst residual at held-out samples must
+    both be within RESIDUAL_TOL.  Returns the solution and the certificate,
+    or None when the solve or a check failed."""
+    target, mu_sign, obj_free = _objective(r, direction)
+    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d, tol)
+    prob, lin_resid = _build_problem(basis, L, tables, target, mu_sign, obj_free)
+    sol = solve(prob)
+    if sol.status != "optimal" or lin_resid > RESIDUAL_TOL:
+        return sol, None
+    H = sol.blocks[0]
+    G = sol.blocks[1] if L is not None else None
+    if direction is not None:
+        mu = ex.scalar(float(sol.free[0]))
+        target = ex.sub(mu, r) if direction == "sup" else ex.sub(r, mu)
+    resid = _validate(basis, L, H, G, target, R, d, seed)
+    if resid > RESIDUAL_TOL:
+        return sol, None
+    squares = tuple(s for s, in _extract(H, basis, 1, EIG_TOL))
+    vectors = _extract(G, basis, L.size, EIG_TOL) if G is not None else ()
+    return sol, QMCertificate(basis, H, G, squares, vectors, resid, level, carath)
+
+
 def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
                seed=0, d: int | None = None,
                tol: float = RANK_TOL) -> QMCertificate | None:
@@ -405,21 +392,7 @@ def certify_qm(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
     None means not-certified at this level, which is weaker than "not
     positive": the hierarchy is only complete at level 2 tau(r) + 1.
     """
-    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d, tol)
-    prob, lin_resid = _build_problem(basis, L, tables, r, None, 0.0)
-    sol = solve(prob)
-    if lin_resid > 1e-7:
-        return None
-    if sol.status not in ("optimal",):
-        return None
-    H = sol.blocks[0]
-    G = sol.blocks[1] if L is not None else None
-    resid = _validate(basis, L, H, G, r, R, d, seed)
-    if resid > RESIDUAL_TOL:
-        return None
-    squares = _extract_squares(H, basis, EIG_TOL)
-    vectors = _extract_vectors(G, basis, L.size, EIG_TOL) if G is not None else ()
-    return QMCertificate(basis, H, G, squares, vectors, resid, level, carath)
+    return _membership(r, L, level, seed, d, tol, None)[1]
 
 
 def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
@@ -432,29 +405,15 @@ def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
-    target, mu_sign, obj_free = _objective(r, direction)
-    d, L, R, basis, tables, carath = _setup(r, L, level, seed, d, tol)
-    prob, lin_resid = _build_problem(basis, L, tables, target, mu_sign, obj_free)
-    sol = solve(prob)
+    sol, cert = _membership(r, L, level, seed, d, tol, direction)
     if sol.status == "infeasible":
         return OptResult(float("nan"), "infeasible-at-level", None, level, sol.gap)
     if sol.status == "unbounded":
         return OptResult(float("-inf") if direction == "sup" else float("inf"),
                          "unbounded-at-level", None, level, sol.gap)
-    if sol.status != "optimal" or lin_resid > 1e-6:
+    if cert is None:
         return OptResult(float("nan"), "solver-failure", None, level, sol.gap)
-    mu = float(sol.free[0])
-    H = sol.blocks[0]
-    G = sol.blocks[1] if L is not None else None
-    cert_target = (ex.sub(ex.scalar(mu), r) if direction == "sup"
-                   else ex.sub(r, ex.scalar(mu)))
-    resid = _validate(basis, L, H, G, cert_target, R, d, seed)
-    if resid > RESIDUAL_TOL:
-        return OptResult(float("nan"), "solver-failure", None, level, sol.gap)
-    squares = _extract_squares(H, basis, EIG_TOL)
-    vectors = _extract_vectors(G, basis, L.size, EIG_TOL) if G is not None else ()
-    cert = QMCertificate(basis, H, G, squares, vectors, resid, level, carath)
-    return OptResult(mu, "optimal", cert, level, sol.gap)
+    return OptResult(float(sol.free[0]), "optimal", cert, level, sol.gap)
 
 
 def find_violation(r: Expr, L: HomogeneousPencil | None = None,

@@ -20,7 +20,6 @@ from .numkernel import (
     lu_solve,
     matrix_to_json,
     nonsingular,
-    random_tuple,
     sigma_extremes,
 )
 from .pencil import HomogeneousPencil, affine_eval
@@ -33,7 +32,6 @@ __all__ = [
     "eval_exprs",
     "realization_eval",
     "in_domain",
-    "likely_degenerate",
 ]
 
 
@@ -203,24 +201,3 @@ def in_domain(r: Expr, X: MatrixTuple, d: int | None = None,
     MX = affine_eval(rep.pencil, X)
     smin, smax = sigma_extremes(MX)
     return nonsingular(smin, smax, tol), smin
-
-
-def likely_degenerate(r: Expr, d: int | None = None, trials: int = 32,
-                      seed=0) -> bool:
-    """Probabilistic emptiness check of the domain via hermitian sampling.
-
-    Samples hermitian tuples at sizes 1..e-1; if the realization pencil is
-    singular at all of them, the expression is likely degenerate.
-    """
-    if d is None:
-        d = max(ex.variables_used(r), default=1)
-    rep = build_realization(r, d)
-    rng = np.random.default_rng(seed)
-    sizes = list(range(1, max(rep.size, 2)))
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        X = random_tuple(d, n, n, mode="hermitian", rng=rng)
-        ok, _ = in_domain(r, X, d=d, rep=rep)
-        if ok:
-            return False
-    return True

@@ -14,18 +14,17 @@ symmetric blocks, which is also the form written by the SDPA exporter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .numkernel import herm_deviation, matrix_to_json, norm_max
+from .numkernel import herm_deviation, norm_max
 
 __all__ = [
     "SDPConstraint",
     "SDPProblem",
     "SDPSolution",
-    "SDPConfig",
     "solve",
     "realify",
     "recover_complex",
@@ -34,6 +33,14 @@ __all__ = [
 ]
 
 HERM_TOL = 1e-12
+
+# interior-point settings, read by solve() at each call
+MAX_ITER = 100
+TOL_GAP = 1e-9
+TOL_FEAS = 1e-9
+ACCEPT_TOL = 1e-7  # best-iterate fallback still counted as optimal
+STEP_FRAC = 0.98
+INFEAS_OBJECTIVE = 1e8
 
 
 def _herm(A: np.ndarray) -> np.ndarray:
@@ -100,32 +107,6 @@ class SDPProblem:
             mats += list(con.blocks)
         return any(norm_max(A.imag) > 0 for A in mats)
 
-    def to_json(self) -> dict:
-        return {
-            "block_dims": list(self.block_dims),
-            "nfree": self.nfree,
-            "obj_blocks": [matrix_to_json(C) for C in self.obj_blocks],
-            "obj_free": list(map(float, self.obj_free)),
-            "constraints": [
-                {
-                    "blocks": [matrix_to_json(A) for A in con.blocks],
-                    "free": list(map(float, con.free)),
-                    "rhs": con.rhs,
-                }
-                for con in self.constraints
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class SDPConfig:
-    max_iter: int = 100
-    tol_gap: float = 1e-9
-    tol_feas: float = 1e-9
-    accept_tol: float = 1e-7  # best-iterate fallback still counted as optimal
-    step_frac: float = 0.98
-    infeas_objective: float = 1e8
-
 
 @dataclass(frozen=True)
 class SDPSolution:
@@ -139,20 +120,6 @@ class SDPSolution:
     dual_feas: float
     iterations: int
     status: str  # "optimal" | "infeasible" | "unbounded" | "max-iterations" | "numerical-failure"
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "dual_objective": self.dual_objective,
-            "gap": self.gap,
-            "primal_feas": self.primal_feas,
-            "dual_feas": self.dual_feas,
-            "iterations": self.iterations,
-            "blocks": [matrix_to_json(X) for X in self.blocks],
-            "free": list(map(float, self.free)),
-            "dual": list(map(float, self.dual)),
-        }
 
 
 def _stack(cons, dims) -> list[np.ndarray]:
@@ -225,9 +192,8 @@ def _max_step(LX, dX, frac: float) -> float:
     return alpha
 
 
-def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
+def solve(p: SDPProblem) -> SDPSolution:
     """HKM predictor-corrector interior-point solve."""
-    cfg = config or SDPConfig()
     dims = p.block_dims
     m = p.m
     nf = p.nfree
@@ -256,7 +222,7 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
     pobj = dobj = gap = pinf = dinf = np.inf
     best = None
     best_metric = np.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp = b - _apply_A(Af, X) - Bf @ y
         Atz = _apply_At(Af, z, dims)
         Rd = [Cb - Sb - Ab for Cb, Sb, Ab in zip(C, S, Atz)]
@@ -275,13 +241,13 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
             best_metric = metric
             best = (list(X), list(S), y.copy(), z.copy(),
                     pobj, dobj, gap, pinf, dinf)
-        if gap <= cfg.tol_gap and pinf <= cfg.tol_feas and dinf <= cfg.tol_feas:
+        if gap <= TOL_GAP and pinf <= TOL_FEAS and dinf <= TOL_FEAS:
             status = "optimal"
             break
-        if dobj > cfg.infeas_objective and dinf <= 1e-6:
+        if dobj > INFEAS_OBJECTIVE and dinf <= 1e-6:
             status = "infeasible"
             break
-        if pobj < -cfg.infeas_objective and pinf <= 1e-6:
+        if pobj < -INFEAS_OBJECTIVE and pinf <= 1e-6:
             status = "unbounded"
             break
 
@@ -316,8 +282,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
             # predictor (affine scaling)
             Rc_aff = [-XSb for XSb in XS]
             dXa, dya, dza, dSa = newton(Rc_aff)
-            ap = _max_step(LX, dXa, cfg.step_frac)
-            ad = _max_step(LS, dSa, cfg.step_frac)
+            ap = _max_step(LX, dXa, STEP_FRAC)
+            ad = _max_step(LS, dSa, STEP_FRAC)
             mu_aff = sum(
                 float(np.trace((Xb + ap * dXb) @ (Sb + ad * dSb)).real)
                 for Xb, dXb, Sb, dSb in zip(X, dXa, S, dSa)
@@ -328,8 +294,8 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
             Rc = [sigma * mu * np.eye(n) - XSb - dXb @ dSb
                   for n, XSb, dXb, dSb in zip(dims, XS, dXa, dSa)]
             dX, dy, dz, dS = newton(Rc)
-            ap = _max_step(LX, dX, cfg.step_frac)
-            ad = _max_step(LS, dS, cfg.step_frac)
+            ap = _max_step(LX, dX, STEP_FRAC)
+            ad = _max_step(LS, dS, STEP_FRAC)
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             break
@@ -340,7 +306,7 @@ def solve(p: SDPProblem, config: SDPConfig | None = None) -> SDPSolution:
         z = z + ad * dz
 
     if status in ("max-iterations", "numerical-failure") and best is not None \
-            and best_metric <= cfg.accept_tol:
+            and best_metric <= ACCEPT_TOL:
         X, S, y, z, pobj, dobj, gap, pinf, dinf = best
         status = "optimal"
     return SDPSolution(

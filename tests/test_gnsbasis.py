@@ -127,6 +127,25 @@ class TestSamplePoints:
         assert len(pts) == 4
         assert [t.X.rows for t in pts] == [1, 1, 2, 2]
 
+    def test_one_pass_over_R(self, monkeypatch):
+        # R of a k-term sum holds every partial sum; evaluating each element
+        # on its own would walk the shared prefix k times
+        r = ex.parse("+".join(["x1"] * 200), d=1)
+        R = build_R(r)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return eval_expr(*args, **kwargs)
+
+        monkeypatch.setattr(gnsbasis, "eval_expr", spy)
+        pts = sample_points(R, [1, 2], np.random.default_rng(0), per_size=2)
+        assert len(pts) == 4 and calls == []
+        # the tables hold the same values as element-by-element evaluation
+        for t in pts:
+            for q, val in zip(R.exprs, t.rvals):
+                assert np.array_equal(val, eval_expr(q, t.X))
+
 
 class TestBuildBasis:
     def test_monomials_dim(self):
@@ -222,9 +241,9 @@ class TestEvalTable:
         assert np.array_equal(basis.gram, ref)
 
     def test_words_not_evaluated_one_by_one(self, monkeypatch):
-        # evaluations happen at admission only, at most one per element of R
-        # per sample drawn, however many words V_5 has
-        calls = {"eval": 0, "tuple": 0}
+        # evaluations happen at admission only, one pass over R per sample
+        # drawn, however many words V_5 has
+        calls = {"eval": 0, "evals": 0, "tuple": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -233,11 +252,13 @@ class TestEvalTable:
             return wrapper
 
         monkeypatch.setattr(gnsbasis, "eval_expr", counted("eval", gnsbasis.eval_expr))
+        monkeypatch.setattr(gnsbasis, "eval_exprs", counted("evals", gnsbasis.eval_exprs))
         monkeypatch.setattr(gnsbasis, "random_tuple",
                             counted("tuple", gnsbasis.random_tuple))
         R = build_R(ex.parse("inv(2-x1)", d=1))
         build_basis(R, 5, seed=0)
-        assert 0 < calls["eval"] <= len(R) * calls["tuple"]
+        assert calls["eval"] == 0
+        assert 0 < calls["evals"] <= calls["tuple"]
 
 
 # level 3 of inv(1+x1*x2) is left out for run time: the reference

@@ -12,6 +12,7 @@ from ncrat.cli import _load_pencil
 from ncrat.gnsbasis import build_R, build_basis, independent_words
 from ncrat.numkernel import matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil, affine_eval
+from ncrat.realization import eval_expr
 from ncrat.psatz import (
     build_sdp,
     certify_qm,
@@ -178,6 +179,101 @@ class TestSetup:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+def _ref_rows(basis, L, tables, mu_sign, target):
+    """The equality rows built one (s, t) entry at a time, as lists of
+    (H coefficient, G coefficient, free part, rhs): the loop that the stacked
+    assembly replaces, kept as its reference."""
+    N = basis.dim
+    rows = ([], [], [], [])
+    for table in tables:
+        X = table.X
+        n = X.rows
+        W = [table.word(idx) for idx in basis.indices]
+        tgt = eval_expr(target, X)
+        if L is not None:
+            e = L.size
+            LX = affine_eval(L, X)
+            Lb = [[LX[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(e)]
+                  for i in range(e)]
+        cols = [np.array([Wa[:, s] for Wa in W]).T for s in range(n)]
+        for s, Cs in enumerate(cols):
+            for t, Ct in enumerate(cols):
+                T = Cs.conj().T @ Ct
+                A1, A2 = (T.T + T.conj()) / 2, (T.T - T.conj()) / 2j
+                B1 = B2 = None
+                if L is not None:
+                    Q = np.zeros((N * e, N * e), dtype=complex)
+                    for i in range(e):
+                        for j in range(e):
+                            Q[i::e, j::e] = Cs.conj().T @ Lb[i][j] @ Ct
+                    B1, B2 = (Q.T + Q.conj()) / 2, (Q.T - Q.conj()) / 2j
+                c = tgt[s, t]
+                delta = 1.0 if s == t else 0.0
+                re_free = np.zeros(0) if mu_sign is None else np.array([mu_sign * delta])
+                im_free = np.zeros(0) if mu_sign is None else np.array([0.0])
+                for row in ((A1, B1, re_free, c.real), (A2, B2, im_free, c.imag)):
+                    for acc, val in zip(rows, row):
+                        acc.append(val)
+    return rows
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRows:
+    @pytest.mark.parametrize("text", ["x1*x1", "inv(2-x1)"])
+    @pytest.mark.parametrize("lmi", [None, INTERVAL])
+    @pytest.mark.parametrize("direction", [None, "sup", "inf"])
+    def test_stacks_match_row_loop(self, text, lmi, direction):
+        r = ex.parse(text, d=1)
+        target, mu_sign, _ = psatz._objective(r, direction)
+        _, L, _, basis, tables, _ = psatz._setup(r, lmi, 1, 0)
+        A, B, free, rhs = psatz._assemble_rows(basis, L, tables, mu_sign, target)
+        hmats, gmats, frees, rhss = _ref_rows(basis, L, tables, mu_sign, target)
+        assert np.array_equal(A, np.array(hmats)) and _same_bits(A, np.array(hmats))
+        if lmi is None:
+            assert B is None
+        else:
+            assert _same_bits(B, np.array(gmats))
+        assert _same_bits(free, np.array(frees))
+        assert _same_bits(rhs, np.array(rhss))
+
+    def test_one_residual_cut(self, monkeypatch):
+        # a pruned system consistent to 5e-7 is within RESIDUAL_TOL for
+        # certification and bounds alike
+        prune = psatz._prune_rows
+
+        def loose(*args, **kwargs):
+            keep, _ = prune(*args, **kwargs)
+            return keep, 5e-7
+
+        monkeypatch.setattr(psatz, "_prune_rows", loose)
+        assert certify_qm(ex.parse("x1*x1", d=1), level=1, seed=0) is not None
+        out = optimize_eig(ex.var(1), INTERVAL, direction="sup", level=1, seed=0)
+        assert out.status == "optimal" and out.certificate is not None
+
+
+class TestExtract:
+    def test_squares_are_the_one_component_case(self):
+        cert = certify_qm(ex.parse("2 - x1*x1", d=1), INTERVAL, level=1, seed=0)
+        squares = psatz._extract(cert.H, cert.basis, 1, psatz.EIG_TOL)
+        assert cert.squares == tuple(s for s, in squares)
+        assert all(len(v) == INTERVAL.size for v in cert.vectors)
+
+    def test_small_coefficients_dropped_relative_to_the_largest(self):
+        basis = build_basis(build_R(ex.parse("x1", d=1)), 1, seed=0)
+        N = basis.dim
+        h = np.zeros(2 * N)
+        h[0], h[1], h[2] = 1.0, 1e-6, 1e-10  # scaled by 2 below
+        (vec,) = psatz._extract(4 * np.outer(h, h), basis, 2, psatz.EIG_TOL)
+        # 2e-10 is under 1e-9 * 2 and goes; 2e-6 stays in the second entry
+        assert ex.variables_used(vec[0]) == set()
+        assert abs(vec[0].value) == pytest.approx(2.0)
+        assert vec[1] != ex.scalar(0)
 
 
 class TestBuildSdp:

@@ -14,7 +14,6 @@ from ncrat.realization import (
     build_realization,
     eval_expr,
     in_domain,
-    likely_degenerate,
     realization_eval,
 )
 
@@ -92,10 +91,6 @@ class TestDomain:
         with pytest.raises(DomainError) as info:
             eval_expr(r, X)
         assert info.value.subexpr == ex.inv(inner)
-
-    def test_likely_degenerate(self):
-        assert likely_degenerate(ex.inv(ex.sub(ex.var(1), ex.var(1))))
-        assert not likely_degenerate(ex.inv(ex.var(1)))
 
 
 class TestPencil:

@@ -7,7 +7,6 @@ import scipy.linalg
 from ncrat import sdpcore
 from ncrat.numkernel import cholesky
 from ncrat.sdpcore import (
-    SDPConfig,
     SDPConstraint,
     SDPProblem,
     _apply_A,
@@ -334,7 +333,7 @@ class TestStepRule:
     TOL = 1e-9  # relative, after at most four steps
 
     @pytest.mark.parametrize("complex_", [False, True])
-    def test_iterates_match_loop_reference(self, complex_):
+    def test_iterates_match_loop_reference(self, complex_, monkeypatch):
         rng = np.random.default_rng(11 if complex_ else 7)
         if complex_:
             p = TestSolve()._random_bounded(rng, dims=(3, 2), m=5, complex_=True)
@@ -345,7 +344,8 @@ class TestStepRule:
             return np.abs(got - want).max() <= self.TOL * (1 + np.abs(want).max())
 
         for k in range(1, 5):
-            sol = solve(p, SDPConfig(max_iter=k))
+            monkeypatch.setattr(sdpcore, "MAX_ITER", k)
+            sol = solve(p)
             assert (sol.status, sol.iterations) == ("max-iterations", k)
             X, y, z = _ref_hkm(p, k)
             assert all(close(got, want) for got, want in zip(sol.blocks, X))
