@@ -132,34 +132,20 @@ def _schur_block_inverse(G: ExprMatrix) -> ExprMatrix:
     g11_inv = ex.inv(G.at(0, 0))
     g12 = [G.at(0, j) for j in range(1, e)]
     g21 = [G.at(i, 0) for i in range(1, e)]
+    h = [_mul(g, g11_inv) for g in g21]
     inner = []
     for i in range(1, e):
         for j in range(1, e):
-            inner.append(_add(G.at(i, j),
-                              _mul(ex.scalar(-1), _mul(_mul(g21[i - 1], g11_inv), g12[j - 1]))))
+            inner.append(_add(G.at(i, j), _mul(ex.scalar(-1), _mul(h[i - 1], g12[j - 1]))))
     shat = _schur_block_inverse(ExprMatrix(e - 1, e - 1, tuple(inner)))
-    out = [[None] * e for _ in range(e)]
-    corr = ex.scalar(0)
-    for k in range(1, e):
-        term = ex.scalar(0)
-        for l in range(1, e):
-            term = _add(term, _mul(shat.at(k - 1, l - 1), _mul(g21[l - 1], g11_inv)))
-        corr = _add(corr, _mul(g12[k - 1], term))
-    out[0][0] = _add(g11_inv, _mul(g11_inv, corr))
-    for j in range(1, e):
-        acc = ex.scalar(0)
-        for k in range(1, e):
-            acc = _add(acc, _mul(g12[k - 1], shat.at(k - 1, j - 1)))
-        out[0][j] = _mul(ex.scalar(-1), _mul(g11_inv, acc))
-    for i in range(1, e):
-        acc = ex.scalar(0)
-        for k in range(1, e):
-            acc = _add(acc, _mul(shat.at(i - 1, k - 1), g21[k - 1]))
-        out[i][0] = _mul(ex.scalar(-1), _mul(acc, g11_inv))
-    for i in range(1, e):
-        for j in range(1, e):
-            out[i][j] = shat.at(i - 1, j - 1)
-    return ExprMatrix(e, e, tuple(out[i][j] for i in range(e) for j in range(e)))
+    rows = [[shat.at(i, k) for k in range(e - 1)] for i in range(e - 1)]
+    cols = [[shat.at(k, j) for k in range(e - 1)] for j in range(e - 1)]
+    corr = _dot(g12, [_dot(row, h) for row in rows])
+    out = [_add(g11_inv, _mul(g11_inv, corr))]
+    out += [_mul(ex.scalar(-1), _mul(g11_inv, _dot(g12, col))) for col in cols]
+    for row in rows:
+        out += [_mul(ex.scalar(-1), _mul(_dot(row, g21), g11_inv))] + row
+    return ExprMatrix(e, e, tuple(out))
 
 
 def pencil_to_expr_matrix(coeffs) -> ExprMatrix:

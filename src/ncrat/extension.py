@@ -17,6 +17,7 @@ from .expr import Expr
 from .numkernel import (
     RANK_TOL,
     MatrixTuple,
+    NotPositiveDefiniteError,
     cholesky,
     lu_solve,
     matrix_to_json,
@@ -26,7 +27,7 @@ from .numkernel import (
     svd_rank,
 )
 from .pencil import HomogeneousPencil, is_full, rank_conditions, rect_eval
-from .realization import Realization, build_realization, in_domain
+from .realization import build_realization, in_domain
 
 __all__ = [
     "HypothesisError",
@@ -92,6 +93,20 @@ def _grow_schedule(start: int, step: int, bound: int) -> list[int]:
     return out
 
 
+def _search(sizes, trials: int, attempt):
+    """The completion search: `trials` calls of attempt(n, log) at each size
+    in turn, returning the first result that is not None.  Each attempt
+    appends the sigma_min of its failed tests to log, which a
+    BoundExhaustedError carries when every attempt fails."""
+    log: list[float] = []
+    for n in sizes:
+        for _ in range(trials):
+            out = attempt(n, log)
+            if out is not None:
+                return out
+    raise BoundExhaustedError(log)
+
+
 @dataclass(frozen=True)
 class SideExtension:
     """Completion [[X, Xhat], [0, Xcheck]] with invertible pencil evaluation."""
@@ -102,14 +117,10 @@ class SideExtension:
     sigma_min: float
 
     def completed(self, X: MatrixTuple) -> MatrixTuple:
-        m, ell = X.rows, X.cols
-        w = self.n + m - ell
-        mats = []
-        for j in range(X.d):
-            top = np.hstack([X[j], self.Xhat[j]]) if w else X[j]
-            bot = np.hstack([np.zeros((self.n, ell)), self.Xcheck[j]])
-            mats.append(np.vstack([top, bot]) if self.n else top)
-        return MatrixTuple(tuple(mats))
+        return MatrixTuple(tuple(
+            np.vstack([np.hstack([X[j], self.Xhat[j]]),
+                       np.hstack([np.zeros((self.n, X.cols)), self.Xcheck[j]])])
+            for j in range(X.d)))
 
     def to_json(self) -> dict:
         return {
@@ -137,26 +148,25 @@ def extend_side(L: HomogeneousPencil, X: MatrixTuple, seed=0,
 
     rng = np.random.default_rng(_derive(seed, 1))
     if forced_n is not None:
-        candidates = [forced_n]
+        sizes = [forced_n]
     elif m == ell:
-        candidates = [0]
+        sizes = [0]
     else:
-        candidates = _grow_schedule(m - ell, L.size, side_bound(L.size, ell, m))
-    sigma_log: list[float] = []
-    for n in candidates:
+        sizes = _grow_schedule(m - ell, L.size, side_bound(L.size, ell, m))
+    if sizes == [0]:
+        trials = 1  # nothing random at n = 0
+
+    def attempt(n, log):
         w = n + m - ell
-        for _ in range(trials):
-            Xhat = random_tuple(X.d, m, w, rng=rng)
-            Xcheck = random_tuple(X.d, n, w, rng=rng)
-            cand = SideExtension(Xhat, Xcheck, n, 0.0)
-            MX = rect_eval(L, cand.completed(X))
-            smin, smax = sigma_extremes(MX)
-            sigma_log.append(smin)
-            if nonsingular(smin, smax, tol):
-                return SideExtension(Xhat, Xcheck, n, smin)
-            if n == 0:
-                break  # nothing random at n=0
-    raise BoundExhaustedError(sigma_log)
+        cand = SideExtension(random_tuple(X.d, m, w, rng=rng),
+                             random_tuple(X.d, n, w, rng=rng), n, 0.0)
+        smin, smax = sigma_extremes(rect_eval(L, cand.completed(X)))
+        log.append(smin)
+        if nonsingular(smin, smax, tol):
+            return SideExtension(cand.Xhat, cand.Xcheck, n, smin)
+        return None
+
+    return _search(sizes, trials, attempt)
 
 
 @dataclass(frozen=True)
@@ -192,15 +202,6 @@ def _theorem_tuple(Y: MatrixTuple, Yp: MatrixTuple, Ypp: MatrixTuple,
     return MatrixTuple(tuple(mats))
 
 
-def _block_grid(rows, cols, blocks, d):
-    """Assemble a d-tuple from a grid of per-variable block factories."""
-    mats = []
-    for j in range(d):
-        grid = [[blocks(i, k, j) for k in range(len(cols))] for i in range(len(rows))]
-        mats.append(np.block(grid))
-    return MatrixTuple(tuple(mats))
-
-
 def eps_assembly(Y: MatrixTuple, Yp: MatrixTuple, Ypp: MatrixTuple,
                  parts: dict, eps: float) -> MatrixTuple:
     """The epsilon-scaled 5x5 block tuple from the square-extension proof;
@@ -210,20 +211,14 @@ def eps_assembly(Y: MatrixTuple, Yp: MatrixTuple, Ypp: MatrixTuple,
     ell, m = Y.rows, Yp.rows
     w1, k1 = Ap.cols, Cp.rows
     w2, k2 = App.rows, Cpp.cols
-    d = Y.d
     z = np.zeros
-
-    def blk(i, k, j):
-        grid = [
-            [Y[j], z((ell, w1)), eps * Y[j], eps * Ypp[j], z((ell, k2))],
-            [z((w2, ell)), z((w2, w1)), eps * App[j], eps * Bpp[j], eps * Cpp[j]],
-            [eps * Y[j], eps * Ap[j], z((ell, ell)), z((ell, m)), z((ell, k2))],
-            [eps * Yp[j], eps * Bp[j], z((m, ell)), z((m, m)), z((m, k2))],
-            [z((k1, ell)), eps * Cp[j], z((k1, ell)), z((k1, m)), z((k1, k2))],
-        ]
-        return grid[i][k]
-
-    return _block_grid(range(5), range(5), blk, d)
+    return MatrixTuple(tuple(np.block([
+        [Y[j], z((ell, w1)), eps * Y[j], eps * Ypp[j], z((ell, k2))],
+        [z((w2, ell)), z((w2, w1)), eps * App[j], eps * Bpp[j], eps * Cpp[j]],
+        [eps * Y[j], eps * Ap[j], z((ell, ell)), z((ell, m)), z((ell, k2))],
+        [eps * Yp[j], eps * Bp[j], z((m, ell)), z((m, m)), z((m, k2))],
+        [z((k1, ell)), eps * Cp[j], z((k1, ell)), z((k1, m)), z((k1, k2))],
+    ]) for j in range(Y.d)))
 
 
 def _mat5_tuple(Y: MatrixTuple, Yp: MatrixTuple, Ypp: MatrixTuple, parts: dict) -> MatrixTuple:
@@ -233,27 +228,13 @@ def _mat5_tuple(Y: MatrixTuple, Yp: MatrixTuple, Ypp: MatrixTuple, parts: dict) 
     w1, k1 = Ap.cols, Cp.rows
     w2, k2 = App.rows, Cpp.cols
     z = np.zeros
-
-    def blk(i, k, j):
-        grid = [
-            [Y[j], Ypp[j], z((ell, ell)), z((ell, w1)), z((ell, k2))],
-            [Yp[j], z((m, m)), -Yp[j], Bp[j], z((m, k2))],
-            [z((ell, ell)), -Ypp[j], -Y[j], Ap[j], z((ell, k2))],
-            [z((w2, ell)), Bpp[j], App[j], z((w2, w1)), Cpp[j]],
-            [z((k1, ell)), z((k1, m)), z((k1, ell)), Cp[j], z((k1, k2))],
-        ]
-        return grid[i][k]
-
-    return _block_grid(range(5), range(5), blk, Y.d)
-
-
-def _split_rows(T: MatrixTuple, *heights: int) -> list[MatrixTuple]:
-    out = []
-    at = 0
-    for h in heights:
-        out.append(MatrixTuple(tuple(m[at:at + h] for m in T.matrices)))
-        at += h
-    return out
+    return MatrixTuple(tuple(np.block([
+        [Y[j], Ypp[j], z((ell, ell)), z((ell, w1)), z((ell, k2))],
+        [Yp[j], z((m, m)), -Yp[j], Bp[j], z((m, k2))],
+        [z((ell, ell)), -Ypp[j], -Y[j], Ap[j], z((ell, k2))],
+        [z((w2, ell)), Bpp[j], App[j], z((w2, w1)), Cpp[j]],
+        [z((k1, ell)), z((k1, m)), z((k1, ell)), Cp[j], z((k1, k2))],
+    ]) for j in range(Y.d)))
 
 
 def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
@@ -272,18 +253,15 @@ def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
         raise HypothesisError("rank conditions fail for (Y, Y', Y'')")
     bound = remark_bound(L.size, ell, m)
     rng = np.random.default_rng(_derive(seed, 2))
-    sigma_log: list[float] = []
 
     if mode == "sampling":
-        for n in _grow_schedule(max(m, 1), L.size, bound):
-            for _ in range(trials):
-                Z = random_tuple(Y.d, n, n, rng=rng)
-                T = _theorem_tuple(Y, Yp, Ypp, Z)
-                smin, smax = sigma_extremes(rect_eval(L, T))
-                sigma_log.append(smin)
-                if nonsingular(smin, smax, tol):
-                    return SquareExtension(n, Z, smin, bound)
-        raise BoundExhaustedError(sigma_log)
+        def attempt(n, log):
+            Z = random_tuple(Y.d, n, n, rng=rng)
+            smin, smax = sigma_extremes(rect_eval(L, _theorem_tuple(Y, Yp, Ypp, Z)))
+            log.append(smin)
+            return SquareExtension(n, Z, smin, bound) if nonsingular(smin, smax, tol) else None
+
+        return _search(_grow_schedule(max(m, 1), L.size, bound), trials, attempt)
 
     if mode != "blocks":
         raise ValueError(f"unknown mode {mode!r}")
@@ -301,21 +279,21 @@ def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
         side_r = extend_side(L.transpose(), row_inst_T, seed=_derive(seed, 6),
                              trials=2 * trials, tol=tol, forced_n=k)
 
-    Ap, Bp = _split_rows(side_c.Xhat, ell, m)
-    Cp = side_c.Xcheck
-    What_T = side_r.Xhat  # (ell+m) x (k+m), transposed row-instance completion
-    App = MatrixTuple(tuple(w.T[:, :ell] for w in What_T.matrices))
-    Bpp = MatrixTuple(tuple(w.T[:, ell:] for w in What_T.matrices))
-    Cpp = MatrixTuple(tuple(w.T for w in side_r.Xcheck.matrices))
-    parts = {"Ap": Ap, "Bp": Bp, "Cp": Cp, "App": App, "Bpp": Bpp, "Cpp": Cpp}
-
+    What = [w.T for w in side_r.Xhat]  # (k+m) x (ell+m), from the transposed row instance
+    parts = {
+        "Ap": MatrixTuple(tuple(x[:ell] for x in side_c.Xhat)),
+        "Bp": MatrixTuple(tuple(x[ell:] for x in side_c.Xhat)),
+        "Cp": side_c.Xcheck,
+        "App": MatrixTuple(tuple(w[:, :ell] for w in What)),
+        "Bpp": MatrixTuple(tuple(w[:, ell:] for w in What)),
+        "Cpp": MatrixTuple(tuple(w.T for w in side_r.Xcheck)),
+    }
     T5 = _mat5_tuple(Y, Yp, Ypp, parts)
     smin, smax = sigma_extremes(rect_eval(L, T5))
     if not nonsingular(smin, smax, tol):
         raise BoundExhaustedError([smin])
-    n = T5.rows - ell
-    Z = MatrixTuple(tuple(t[ell:, ell:] for t in T5.matrices))
-    return SquareExtension(n, Z, smin, bound, parts=parts)
+    Z = MatrixTuple(tuple(t[ell:, ell:] for t in T5))
+    return SquareExtension(T5.rows - ell, Z, smin, bound, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +313,6 @@ class HermitianExtension:
             "Xtilde": self.Xtilde.to_json(),
             "sigma_min": self.sigma_min,
         }
-
-
-def _stack_id(ell: int, extra: int) -> np.ndarray:
-    return np.vstack([np.eye(ell, dtype=complex), np.zeros((extra, ell))])
-
-
-def _check_rect_ranks(rep: Realization, X: MatrixTuple, Y: MatrixTuple | None,
-                      tol: float) -> None:
-    """Full-rank conditions on the stacked/concatenated pencil evaluations."""
-    ell = X.rows
-    d = X.d
-    if Y is None or Y.rows == 0:
-        return
-    m = Y.rows
-    col = MatrixTuple((_stack_id(ell, m),) + tuple(np.vstack([X[j], Y[j]]) for j in range(d)))
-    row = MatrixTuple((_stack_id(ell, m).T,) + tuple(np.hstack([X[j], Y[j].conj().T]) for j in range(d)))
-    e = rep.size
-    rank_c, _ = svd_rank(rect_eval(rep.pencil, col), tol)
-    rank_r, _ = svd_rank(rect_eval(rep.pencil, row), tol)
-    if rank_c != e * ell or rank_r != e * ell:
-        raise HypothesisError("realization pencil rank conditions fail at (X, Y)")
 
 
 def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
@@ -381,55 +338,44 @@ def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
         empty = MatrixTuple(tuple(np.zeros((0, 0)) for _ in range(d)), hermitian=True)
         return HermitianExtension(np.zeros((0, 0), dtype=complex), empty, X, smin)
 
-    _check_rect_ranks(rep, X, Y, tol)
+    # full rank of the realization pencil at [(I, X); (0, Y)] and [(I, X)  (0, Y*)]
+    col_ok, row_ok, _ = rank_conditions(
+        rep.pencil, MatrixTuple((np.eye(ell),) + X.matrices),
+        MatrixTuple((np.zeros((m, ell)),) + Y.matrices),
+        MatrixTuple((np.zeros((ell, m)),) + Y.adjoint().matrices), tol)
+    if not (col_ok and row_ok):
+        raise HypothesisError("realization pencil rank conditions fail at (X, Y)")
     rng = np.random.default_rng(_derive(seed, 7))
-    bound = remark_bound(rep.size, ell, m)
-    sigma_log: list[float] = []
-    for n in _grow_schedule(max(m, 1), rep.size, bound):
-        for _ in range(trials):
-            G0 = random_tuple(1, n, n, mode="hermitian", rng=rng)[0]
-            Z0 = np.eye(n) + 0.25 * G0
-            try:
-                C = cholesky(Z0)
-            except Exception:
-                continue
-            Zp = [random_tuple(1, n, n, mode="hermitian", rng=rng)[0] for _ in range(d)]
-            T = MatrixTuple((_blockdiag(np.eye(ell), Z0),)
-                            + tuple(_embed(X[j], Y[j], Zp[j], n) for j in range(d)))
-            smin, smax = sigma_extremes(rect_eval(rep.pencil, T))
-            sigma_log.append(smin)
-            if not nonsingular(smin, smax, tol):
-                continue
-            E = lu_solve(C, np.eye(n))
-            Zmats = tuple(E @ Zj @ E.conj().T for Zj in Zp)
-            Xt = []
-            for j in range(d):
-                yr = np.vstack([Y[j], np.zeros((n - m, ell))])
-                top = np.hstack([X[j], (E @ yr).conj().T])
-                bot = np.hstack([E @ yr, (Zmats[j] + Zmats[j].conj().T) / 2])
-                Xt.append(np.vstack([top, bot]))
-            Xtilde = MatrixTuple(tuple(Xt), hermitian=True)
-            ok, smin_dom = in_domain(r, Xtilde, d=d, rep=rep)
-            if ok:
-                return HermitianExtension(E, MatrixTuple(Zmats, hermitian=True),
-                                          Xtilde, smin_dom)
-            sigma_log.append(smin_dom)
-    raise BoundExhaustedError(sigma_log)
 
+    def embed(Xj, B, Zj):  # [[Xj, B*], [B, Zj]]
+        return np.vstack([np.hstack([Xj, B.conj().T]), np.hstack([B, Zj])])
 
-def _blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]), dtype=complex)
-    out[:A.shape[0], :A.shape[1]] = A
-    out[A.shape[0]:, A.shape[1]:] = B
-    return out
+    def attempt(n, log):
+        Z0 = np.eye(n) + 0.25 * random_tuple(1, n, n, mode="hermitian", rng=rng)[0]
+        try:
+            C = cholesky(Z0)
+        except NotPositiveDefiniteError:
+            return None
+        Zp = [random_tuple(1, n, n, mode="hermitian", rng=rng)[0] for _ in range(d)]
+        Yn = [np.vstack([Y[j], np.zeros((n - m, ell))]) for j in range(d)]
+        T = MatrixTuple((embed(np.eye(ell), np.zeros((n, ell)), Z0),)
+                        + tuple(embed(X[j], Yn[j], Zp[j]) for j in range(d)))
+        smin, smax = sigma_extremes(rect_eval(rep.pencil, T))
+        log.append(smin)
+        if not nonsingular(smin, smax, tol):
+            return None
+        E = lu_solve(C, np.eye(n))
+        Zmats = tuple(E @ Zj @ E.conj().T for Zj in Zp)
+        Xtilde = MatrixTuple(tuple(embed(X[j], E @ Yn[j], (Zmats[j] + Zmats[j].conj().T) / 2)
+                                   for j in range(d)), hermitian=True)
+        ok, smin_dom = in_domain(r, Xtilde, d=d, rep=rep)
+        if ok:
+            return HermitianExtension(E, MatrixTuple(Zmats, hermitian=True), Xtilde, smin_dom)
+        log.append(smin_dom)
+        return None
 
-
-def _embed(Xj: np.ndarray, Yj: np.ndarray, Zj: np.ndarray, n: int) -> np.ndarray:
-    ell, m = Xj.shape[0], Yj.shape[0]
-    yr = np.vstack([Yj, np.zeros((n - m, ell))])
-    top = np.hstack([Xj, yr.conj().T])
-    bot = np.hstack([yr, Zj])
-    return np.vstack([top, bot])
+    return _search(_grow_schedule(max(m, 1), rep.size, remark_bound(rep.size, ell, m)),
+                   trials, attempt)
 
 
 def extend_nonhermitian(r: Expr, X: MatrixTuple, seed=0, trials: int = 16,
@@ -442,27 +388,22 @@ def extend_nonhermitian(r: Expr, X: MatrixTuple, seed=0, trials: int = 16,
     if d is None:
         d = X.d
     rep = build_realization(r, d)
-    stacked = MatrixTuple((_stack_id(ell, m - ell),) + X.matrices)
+    stacked = MatrixTuple((np.eye(m, ell),) + X.matrices)
     rank, _ = svd_rank(rect_eval(rep.pencil, stacked), tol)
     if rank != rep.size * ell:
         raise HypothesisError("stacked pencil evaluation is column-rank deficient")
-
     rng = np.random.default_rng(_derive(seed, 8))
-    bound = remark_bound(rep.size, ell, m)
-    sigma_log: list[float] = []
-    for n in _grow_schedule(max(m, 1), rep.size, bound):
-        for _ in range(trials):
-            Z = random_tuple(d, n, n - ell, rng=rng)
-            mats = tuple(
-                np.hstack([np.vstack([X[j], np.zeros((n - m, ell))]), Z[j]])
-                for j in range(d)
-            )
-            cand = MatrixTuple(mats)
-            ok, smin = in_domain(r, cand, d=d, rep=rep)
-            sigma_log.append(smin)
-            if ok:
-                return cand
-    raise BoundExhaustedError(sigma_log)
+
+    def attempt(n, log):
+        Z = random_tuple(d, n, n - ell, rng=rng)
+        cand = MatrixTuple(tuple(np.hstack([np.vstack([X[j], np.zeros((n - m, ell))]), Z[j]])
+                                 for j in range(d)))
+        ok, smin = in_domain(r, cand, d=d, rep=rep)
+        log.append(smin)
+        return cand if ok else None
+
+    return _search(_grow_schedule(max(m, 1), rep.size, remark_bound(rep.size, ell, m)),
+                   trials, attempt)
 
 
 def _derive(seed, salt: int) -> np.random.SeedSequence:

@@ -1,8 +1,9 @@
 """Linear representations (u, M, v) of formal rational expressions.
 
-The recursive construction yields an affine pencil M with
-r(X) = (u* o I) M(X)^{-1} (v o I) wherever r is defined, and M(X) invertible
-exactly on the domain of r for square matrix tuples.
+The construction, one iterative pass over the expanded expression tree,
+yields an affine pencil M with r(X) = (u* o I) M(X)^{-1} (v o I) wherever r
+is defined, and M(X) invertible exactly on the domain of r for square matrix
+tuples.
 """
 
 from __future__ import annotations
@@ -67,67 +68,54 @@ class Realization:
 
 
 def build_realization(r: Expr, d: int | None = None) -> Realization:
-    """Recursive construction of a linear representation of r.
+    """The linear representation of r, built without recursion.
 
-    Sizes are exact: 1 for scalars, 2 for variables, e1+e2 for sums and
-    products, e+1 for inverses.  No minimization is attempted.
+    Sizes are exact on the expanded tree: 1 for scalars, 2 for variables,
+    e1+e2 for sums and products, e+1 for inverses, so a shared node gets one
+    block per occurrence.  No minimization is attempted.  Every occurrence
+    owns the diagonal block at its offset in one (d+1, E, E) array, and
+    each node's u and v sit at its offset in two length-E vectors, where
+    its parent reads them before writing its own.
     """
     if d is None:
         d = max(ex.variables_used(r), default=0)
-    u, coeffs, v = _build(r, d)
-    return Realization(u, HomogeneousPencil(tuple(coeffs)), v, r)
-
-
-def _zeros(e: int, d: int) -> list[np.ndarray]:
-    return [np.zeros((e, e), dtype=complex) for _ in range(d + 1)]
-
-
-def _build(r: Expr, d: int):
-    if r.kind == ex.SCALAR:
-        coeffs = _zeros(1, d)
-        coeffs[0][0, 0] = 1
-        return np.array([1.0 + 0j]), coeffs, np.array([r.value])
-    if r.kind == ex.VAR:
-        coeffs = _zeros(2, d)
-        coeffs[0][:] = np.eye(2)
-        coeffs[r.index][0, 1] = -1
-        u = np.array([1, 0], dtype=complex)
-        v = np.array([0, 1], dtype=complex)
-        return u, coeffs, v
-    if r.kind == ex.ADD:
-        u1, c1, v1 = _build(r.children[0], d)
-        u2, c2, v2 = _build(r.children[1], d)
-        e1, e2 = len(u1), len(u2)
-        coeffs = _zeros(e1 + e2, d)
-        for k in range(d + 1):
-            coeffs[k][:e1, :e1] = c1[k]
-            coeffs[k][e1:, e1:] = c2[k]
-        return np.concatenate([u1, u2]), coeffs, np.concatenate([v1, v2])
-    if r.kind == ex.MUL:
-        u1, c1, v1 = _build(r.children[0], d)
-        u2, c2, v2 = _build(r.children[1], d)
-        e1, e2 = len(u1), len(u2)
-        coeffs = _zeros(e1 + e2, d)
-        for k in range(d + 1):
-            coeffs[k][:e1, :e1] = c1[k]
-            coeffs[k][e1:, e1:] = c2[k]
-        coeffs[0][:e1, e1:] -= np.outer(v1, u2.conj())
-        u = np.concatenate([u1, np.zeros(e2, dtype=complex)])
-        v = np.concatenate([np.zeros(e1, dtype=complex), v2])
-        return u, coeffs, v
-    # inverse
-    u1, c1, v1 = _build(r.children[0], d)
-    e1 = len(u1)
-    coeffs = _zeros(e1 + 1, d)
-    for k in range(d + 1):
-        coeffs[k][:e1, :e1] = c1[k]
-    coeffs[0][:e1, e1] = v1
-    coeffs[0][e1, :e1] = u1.conj()
-    u = np.zeros(e1 + 1, dtype=complex)
-    u[e1] = -1
-    v = np.zeros(e1 + 1, dtype=complex)
-    v[e1] = 1
-    return u, coeffs, v
+    size: dict[int, int] = {}
+    for e in ex.postorder(r):
+        size[id(e)] = (1 if e.kind == ex.SCALAR else 2 if e.kind == ex.VAR
+                       else sum(size[id(c)] for c in e.children) + (e.kind == ex.INV))
+    E = size[id(r)]
+    C = np.zeros((d + 1, E, E), dtype=complex)
+    u = np.zeros(E, dtype=complex)
+    v = np.zeros(E, dtype=complex)
+    # preorder (node, offset) of the expanded tree; reversed, children come first
+    order, stack = [], [(r, 0)]
+    while stack:
+        e, o = stack.pop()
+        order.append((e, o))
+        for c in e.children:
+            stack.append((c, o))
+            o += size[id(c)]
+    # a sum needs nothing beyond its children's blocks, u and v
+    for e, o in reversed(order):
+        if e.kind == ex.SCALAR:
+            C[0, o, o] = 1
+            u[o], v[o] = 1, e.value
+        elif e.kind == ex.VAR:
+            C[0, o:o + 2, o:o + 2] = np.eye(2)
+            C[e.index, o, o + 1] = -1
+            u[o], v[o + 1] = 1, 1
+        elif e.kind == ex.MUL:
+            e1, end = size[id(e.children[0])], o + size[id(e)]
+            C[0, o:o + e1, o + e1:end] -= np.outer(v[o:o + e1], u[o + e1:end].conj())
+            u[o + e1:end] = 0
+            v[o:o + e1] = 0
+        elif e.kind == ex.INV:
+            e1 = size[id(e.children[0])]
+            C[0, o:o + e1, o + e1] = v[o:o + e1]
+            C[0, o + e1, o:o + e1] = u[o:o + e1].conj()
+            u[o:o + e1] = v[o:o + e1] = 0
+            u[o + e1], v[o + e1] = -1, 1
+    return Realization(u, HomogeneousPencil(tuple(C)), v, r)
 
 
 def realization_eval(rep: Realization, X: MatrixTuple,

@@ -83,3 +83,10 @@ def test_positional_problem_round_trips(workloads, tracer, tmp_path, k):
 def test_job_lists_build(workloads, tmp_path, name):
     jobs = workloads.build(name, 0, str(tmp_path))
     assert jobs and all(callable(j.run) and callable(j.check) for j in jobs)
+
+
+def test_pencil_extend_jobs_pass(workloads, tmp_path):
+    # the checkers call eps_assembly, SquareExtension.parts and the completed()
+    # methods, which no other test reaches through the harness; about 0.3 s
+    for job in workloads.build("pencil-extend", 0, str(tmp_path)):
+        assert job.check(job.run()) is None, job.name

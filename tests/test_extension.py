@@ -162,6 +162,16 @@ class TestExtendHermitian:
         with pytest.raises(HypothesisError):
             extend_hermitian(r, X, None, seed=0)
 
+    def test_realization_rank_conditions_enforced(self):
+        # M(0) of inv(x1) has rank 2 of 3, so neither [(I, X); (0, Y)] nor
+        # [(I, X)  (0, Y*)] gives full rank at X = Y = 0
+        r = ex.parse("inv(x1)", d=1)
+        X = MatrixTuple((np.zeros((1, 1)),), hermitian=True)
+        Y = MatrixTuple((np.zeros((1, 1)),))
+        with pytest.raises(HypothesisError,
+                           match=r"realization pencil rank conditions fail at \(X, Y\)"):
+            extend_hermitian(r, X, Y, seed=0)
+
 
 class TestExtendNonhermitian:
     def test_rectangular_completion(self, rng):
@@ -182,4 +192,9 @@ class TestExtendNonhermitian:
     def test_wide_rejected(self, rng):
         X = random_tuple(1, 1, 2, mode="generic", rng=rng)
         with pytest.raises(HypothesisError):
+            extend_nonhermitian(ex.parse("inv(x1)", d=1), X, seed=0)
+
+    def test_rank_deficient_rejected(self):
+        X = MatrixTuple((np.zeros((2, 1)),))
+        with pytest.raises(HypothesisError, match="column-rank deficient"):
             extend_nonhermitian(ex.parse("inv(x1)", d=1), X, seed=0)

@@ -1,6 +1,7 @@
 """Linear representations: construction sizes, evaluation agreement, domains."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ class TestSizes:
         for _ in range(20):
             e = random_expr(rng, 4, 3)
             assert build_realization(e, 3).size == expected(e)
+
+    def test_deep_sum_without_recursion(self):
+        # a 300-term x1+...+x1 is 300 levels deep
+        r = ex.var(1)
+        for _ in range(299):
+            r = ex.add(r, ex.var(1))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            rep = build_realization(r, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.size == 600
+        assert np.array_equal(rep.pencil.coeffs[0], np.eye(600))
+        assert np.array_equal(rep.u, np.tile([1, 0], 300))
+        assert np.array_equal(rep.v, np.tile([0, 1], 300))
 
 
 class TestEvaluationAgreement:
