@@ -139,7 +139,7 @@ def extend_side(L: HomogeneousPencil, X: MatrixTuple, seed=0,
     m, ell = X.rows, X.cols
     if ell > m:
         raise HypothesisError("X must have at least as many rows as columns")
-    full = is_full(L, seed=_derive(seed, 101))
+    full = is_full(L, seed=_derive(seed, 101), tol=tol)
     if full.verdict != "full":
         raise HypothesisError(f"pencil is {full.verdict}")
     rank, _ = svd_rank(rect_eval(L, X), tol)
@@ -332,7 +332,7 @@ def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
     m = Y.rows if Y is not None and Y.d else 0
 
     if m == 0:
-        ok, smin = in_domain(r, X, d=d, rep=rep)
+        ok, smin = in_domain(r, X, d=d, tol=tol, rep=rep)
         if not ok:
             raise HypothesisError("X itself is outside the domain and no Y block was given")
         empty = MatrixTuple(tuple(np.zeros((0, 0)) for _ in range(d)), hermitian=True)
@@ -368,7 +368,7 @@ def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
         Zmats = tuple(E @ Zj @ E.conj().T for Zj in Zp)
         Xtilde = MatrixTuple(tuple(embed(X[j], E @ Yn[j], (Zmats[j] + Zmats[j].conj().T) / 2)
                                    for j in range(d)), hermitian=True)
-        ok, smin_dom = in_domain(r, Xtilde, d=d, rep=rep)
+        ok, smin_dom = in_domain(r, Xtilde, d=d, tol=tol, rep=rep)
         if ok:
             return HermitianExtension(E, MatrixTuple(Zmats, hermitian=True), Xtilde, smin_dom)
         log.append(smin_dom)
@@ -398,7 +398,7 @@ def extend_nonhermitian(r: Expr, X: MatrixTuple, seed=0, trials: int = 16,
         Z = random_tuple(d, n, n - ell, rng=rng)
         cand = MatrixTuple(tuple(np.hstack([np.vstack([X[j], np.zeros((n - m, ell))]), Z[j]])
                                  for j in range(d)))
-        ok, smin = in_domain(r, cand, d=d, rep=rep)
+        ok, smin = in_domain(r, cand, d=d, tol=tol, rep=rep)
         log.append(smin)
         return cand if ok else None
 

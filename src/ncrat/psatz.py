@@ -15,9 +15,9 @@ scalar SDP variable.
 
 Certification, both bounds and build_sdp pose the problem along one path:
 the equality rows are assembled as stacked coefficient arrays and pruned to
-an independent set.  A solution is accepted only if the full equality system
-and the held-out samples both agree to RESIDUAL_TOL; one extractor then
-factors H into squares and G into localized vectors.
+an independent set.  A result stands only if all rows hold at the kept rows'
+solution and the held-out samples agree, both to RESIDUAL_TOL; one extractor
+then factors H into squares and G into localized vectors.
 """
 
 from __future__ import annotations
@@ -216,18 +216,18 @@ def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
 
 def _prune_rows(A: np.ndarray, B: np.ndarray | None, free: np.ndarray,
                 rhs: np.ndarray, tol: float = RANK_TOL):
-    """Drop linearly dependent equality rows (pivoted QR); returns the kept
-    indices and the residual of the full system's least-squares solution."""
+    """Keep the first k pivots of one pivoted QR, Rmat.T[:, piv] = Q R, of the
+    equality rows, k counting |R_ii| > tol |R_00|.  Returns the kept indices and
+    the violation of all rows, ||Rmat x - rhs|| / (1 + ||rhs||), by the kept
+    rows' solution x = Q[:, :k] y, R[:k, :k].T y = rhs[piv[:k]]."""
     Rmat = np.concatenate([_vech(S) for S in (A, B) if S is not None] + [free], axis=1)
-    _, Rq, piv = scipy.linalg.qr(Rmat.T, pivoting=True, mode="economic")
+    Q, Rq, piv = scipy.linalg.qr(Rmat.T, pivoting=True, mode="economic")
     diag = np.abs(np.diag(Rq))
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
     rank = int(np.sum(diag > tol * scale))
-    keep = sorted(piv[:rank])
-    sol, _, _, _ = np.linalg.lstsq(Rmat.T @ Rmat + 1e-14 * np.eye(Rmat.shape[1]),
-                                   Rmat.T @ rhs, rcond=None)
-    resid = np.linalg.norm(Rmat @ sol - rhs) / (1 + np.linalg.norm(rhs))
-    return keep, resid
+    y = scipy.linalg.solve_triangular(Rq[:rank, :rank].T, rhs[piv[:rank]], lower=True)
+    resid = np.linalg.norm(Rmat @ (Q[:, :rank] @ y) - rhs) / (1 + np.linalg.norm(rhs))
+    return sorted(piv[:rank]), resid
 
 
 def _separation_rank(words, tables, tol: float) -> int:
@@ -331,12 +331,12 @@ def _objective(r: Expr, direction: str | None):
     raise ValueError("direction must be None, 'sup' or 'inf'")
 
 
-def _build_problem(basis, L, tables, target, mu_sign, obj_free):
-    """Assemble the membership SDP at the samples of the evaluation tables;
-    returns (problem, least-squares residual of the full equality system).
-    L is the padded LMI or None."""
+def _build_problem(basis, L, tables, target, mu_sign, obj_free, tol):
+    """Assemble the membership SDP at the samples of the evaluation tables,
+    on the rows _prune_rows keeps at tol; returns (problem, violation of all
+    rows by the kept rows' solution).  L is the padded LMI or None."""
     A, B, free, rhs = _assemble_rows(basis, L, tables, mu_sign, target)
-    keep, lin_resid = _prune_rows(A, B, free, rhs)
+    keep, lin_resid = _prune_rows(A, B, free, rhs, tol)
     stacks = [S[keep] for S in (A, B) if S is not None]
     dims = tuple(S.shape[1] for S in stacks)
     nfree = free.shape[1]
@@ -354,19 +354,19 @@ def build_sdp(r: Expr, L: HomogeneousPencil | None = None, level: int = 1,
     """The SDP posed by certify_qm (direction None) or optimize_eig."""
     target, mu_sign, obj_free = _objective(r, direction)
     _, L, _, basis, tables, _ = _setup(r, L, level, seed, d, tol)
-    prob, _ = _build_problem(basis, L, tables, target, mu_sign, obj_free)
+    prob, _ = _build_problem(basis, L, tables, target, mu_sign, obj_free, tol)
     return prob
 
 
 def _membership(r: Expr, L, level: int, seed, d, tol, direction: str | None):
     """Pose and solve the membership SDP of r (direction None) or of its
-    sup/inf bound, then check the result: the least-squares residual of the
-    full equality system and the worst residual at held-out samples must
-    both be within RESIDUAL_TOL.  Returns the solution and the certificate,
+    sup/inf bound, then check the result: the violation of all equality rows
+    by the kept rows' solution and the worst residual at held-out samples
+    must both be within RESIDUAL_TOL.  Returns the solution and the certificate,
     or None when the solve or a check failed."""
     target, mu_sign, obj_free = _objective(r, direction)
     d, L, R, basis, tables, carath = _setup(r, L, level, seed, d, tol)
-    prob, lin_resid = _build_problem(basis, L, tables, target, mu_sign, obj_free)
+    prob, lin_resid = _build_problem(basis, L, tables, target, mu_sign, obj_free, tol)
     sol = solve(prob)
     if sol.status != "optimal" or lin_resid > RESIDUAL_TOL:
         return sol, None

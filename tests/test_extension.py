@@ -15,8 +15,8 @@ from ncrat.extension import (
     remark_bound,
 )
 from ncrat.numkernel import MatrixTuple, herm_deviation, random_tuple, sigma_extremes
-from ncrat.pencil import HomogeneousPencil, rank_conditions, rect_eval
-from ncrat.realization import in_domain
+from ncrat.pencil import HomogeneousPencil, affine_eval, rank_conditions, rect_eval
+from ncrat.realization import build_realization, in_domain
 
 # identity + swap coefficients: full pencil on 2 variables
 L2 = HomogeneousPencil((np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
@@ -100,11 +100,22 @@ class TestExtendSquare:
     def test_blocks_mode_and_eps_family(self, rng):
         Y, Yp, Ypp = _square_instance(rng)
         sq = extend_square(L2, Y, Yp, Ypp, mode="blocks", seed=0)
-        assert sq.parts
+        p = sq.parts
+        assert p
+        ell, m = Y.rows, Yp.rows
+        w1, k1, w2, k2 = p["Ap"].cols, p["Cp"].rows, p["App"].rows, p["Cpp"].cols
+        T1 = eps_assembly(Y, Yp, Ypp, p, 1.0)
         for eps in (0.5, 1.0, 2.0):
-            T = eps_assembly(Y, Yp, Ypp, sq.parts, eps)
+            T = eps_assembly(Y, Yp, Ypp, p, eps)
             smin, smax = sigma_extremes(rect_eval(L2, T))
             assert smin > 1e-9 * smax, f"eps={eps}"
+            # eps scales the eps = 1 tuple by diag(I_l, I_w2, eps I_l, eps I_m,
+            # eps I_k1) on the left and diag(I_l, I_w1, eps I_l, eps I_m, eps I_k2)
+            # on the right
+            Dl = np.diag(np.repeat([1.0, 1.0, eps, eps, eps], [ell, w2, ell, m, k1]))
+            Dr = np.diag(np.repeat([1.0, 1.0, eps, eps, eps], [ell, w1, ell, m, k2]))
+            for j in range(Y.d):
+                assert np.array_equal(T[j], Dl @ T1[j] @ Dr), f"eps={eps}"
 
     def test_rank_conditions_enforced(self):
         Z = MatrixTuple((np.zeros((2, 2)), np.zeros((2, 2))))
@@ -198,3 +209,14 @@ class TestExtendNonhermitian:
         X = MatrixTuple((np.zeros((2, 1)),))
         with pytest.raises(HypothesisError, match="column-rank deficient"):
             extend_nonhermitian(ex.parse("inv(x1)", d=1), X, seed=0)
+
+    def test_tol_reaches_domain_test(self):
+        # the default tolerance accepts a completion at sigma ratio 0.063;
+        # tol = 0.12 must reject it and search on
+        r = ex.parse("inv(x1)", d=1)
+        X = random_tuple(1, 2, 1, seed=0)
+        pencil = build_realization(r, 1).pencil
+        for tol, above in ((1e-9, False), (0.12, True)):
+            T = extend_nonhermitian(r, X, tol=tol)
+            smin, smax = sigma_extremes(affine_eval(pencil, T))
+            assert (smin > 0.12 * smax) == above, f"tol={tol}"

@@ -261,6 +261,60 @@ class TestRows:
         out = optimize_eig(ex.var(1), INTERVAL, direction="sup", level=1, seed=0)
         assert out.status == "optimal" and out.certificate is not None
 
+    def test_tol_reaches_the_pivot_cut(self, monkeypatch):
+        prune, cuts = psatz._prune_rows, []
+
+        def spy(*args):
+            cuts.append(args[4:])
+            return prune(*args)
+
+        monkeypatch.setattr(psatz, "_prune_rows", spy)
+        certify_qm(ex.parse("x1*x1", d=1), level=1, seed=0, tol=1e-6)
+        assert cuts == [(1e-6,)]
+
+
+def _level3_sup_rows(text, monkeypatch):
+    """The level-3 interval --sup system of text as _build_problem prunes it:
+    (residual it reports, rows A, B, free, rhs, kept indices)."""
+    prune, seen = psatz._prune_rows, []
+
+    def spy(*args):
+        out = prune(*args)
+        seen.append((*args[:4], out[0]))
+        return out
+
+    monkeypatch.setattr(psatz, "_prune_rows", spy)
+    r = ex.parse(text, d=1)
+    target, mu_sign, obj_free = psatz._objective(r, "sup")
+    _, L, _, basis, tables, _ = psatz._setup(r, INTERVAL, 3, 0)
+    _, resid = psatz._build_problem(basis, L, tables, target, mu_sign, obj_free,
+                                    psatz.RANK_TOL)
+    return (resid, *seen[0])
+
+
+class TestConsistencyResidual:
+    def test_consistent_system_reads_zero(self, monkeypatch):
+        resid, *_ = _level3_sup_rows("inv(2-x1)", monkeypatch)
+        assert resid <= 1e-9
+
+    def test_reads_the_violation_of_the_dropped_rows(self, monkeypatch):
+        # the pivot cut keeps 20 of the 26 independent rows; the residual is
+        # how far the kept rows' own solution misses the other six
+        resid, A, B, free, rhs, keep = _level3_sup_rows("inv(1+x1*x1)", monkeypatch)
+        assert resid > psatz.RESIDUAL_TOL
+        Rmat = np.concatenate([psatz._vech(A), psatz._vech(B), free], axis=1)
+        x = np.linalg.lstsq(Rmat[keep], rhs[keep], rcond=None)[0]
+        scale = 1 + np.linalg.norm(rhs)
+        assert np.linalg.norm(Rmat[keep] @ x - rhs[keep]) / scale < 1e-9
+        assert resid == pytest.approx(np.linalg.norm(Rmat @ x - rhs) / scale, rel=1e-3)
+
+    def test_rank_zero_system(self):
+        rhs = np.array([3.0, 4.0, 0.0])
+        keep, resid = psatz._prune_rows(np.zeros((3, 2, 2), dtype=complex), None,
+                                        np.zeros((3, 0)), rhs)
+        assert keep == []
+        assert resid == pytest.approx(5 / 6, rel=1e-15)
+
 
 class TestExtract:
     def test_squares_are_the_one_component_case(self):
