@@ -22,9 +22,9 @@ from .numkernel import (
     MatrixTuple,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    norm_max,
     random_tuple,
     vector_from_json,
 )
@@ -125,9 +125,8 @@ def _load_pencil(path: str, *keys: str) -> tuple[HomogeneousPencil, dict]:
         raise ValueError(f"{path}: {key!r} must be a list of matrices")
     mats = [matrix_from_json(c, f"{key}[{k}]") for k, c in enumerate(obj[key])]
     if key == "H":
-        for H in mats:
-            if norm_max(H - H.conj().T) > 1e-12 * max(1.0, norm_max(H)):
-                raise ValueError("pencil coefficients must be hermitian")
+        if not all(is_hermitian(H) for H in mats):
+            raise ValueError("pencil coefficients must be hermitian")
         mats.insert(0, np.eye(len(mats[0]) if mats else 1))
     return HomogeneousPencil(tuple(mats)), obj
 
@@ -305,7 +304,7 @@ def _cmd_widen(args, report) -> int:
         M, obj = _load_pencil(args.pencil, "M")
         u, v = (vector_from_json(obj.get(k), k) for k in ("u", "v"))
         override = (u, M.coeffs, v)
-    w = widen_hdom(r, pencil_override=override, d=args.d, seed=args.seed)
+    w = widen_hdom(r, pencil_override=override, d=args.d, seed=args.seed, tol=args.tol)
     d = args.d or max(ex.variables_used(r), default=1)
     rng = np.random.default_rng(args.seed)
     witnesses = []

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, ExprMatrix
-from .numkernel import MatrixTuple, nonsingular, random_tuple
+from .numkernel import RANK_TOL, MatrixTuple, full_rank, random_tuple
 from .realization import build_realization, eval_exprs, DomainError
 
 __all__ = [
@@ -67,11 +67,11 @@ def _matmul(A: ExprMatrix, B: ExprMatrix) -> ExprMatrix:
     return ExprMatrix(A.rows, B.cols, tuple(ent))
 
 
-def eval_expr_matrix(m: ExprMatrix, X: MatrixTuple) -> np.ndarray:
+def eval_expr_matrix(m: ExprMatrix, X: MatrixTuple, tol: float = RANK_TOL) -> np.ndarray:
     """Blockwise evaluation of an expression matrix at a square tuple; the
     entries share one memo."""
     n = X.rows
-    vals = iter(eval_exprs(m.entries, X))
+    vals = iter(eval_exprs(m.entries, X, tol))
     out = np.zeros((m.rows * n, m.cols * n), dtype=complex)
     for i in range(m.rows):
         for j in range(m.cols):
@@ -79,7 +79,8 @@ def eval_expr_matrix(m: ExprMatrix, X: MatrixTuple) -> np.ndarray:
     return out
 
 
-def _probably_invertible(m: ExprMatrix, d: int, seed=0, trials: int = 12) -> bool:
+def _probably_invertible(m: ExprMatrix, d: int, seed=0, trials: int = 12,
+                         tol: float = RANK_TOL) -> bool:
     """Invertibility over the free skew field, checked by random hermitian
     evaluation at several sizes (false negatives possible only on measure-zero
     failure of every probe)."""
@@ -88,17 +89,16 @@ def _probably_invertible(m: ExprMatrix, d: int, seed=0, trials: int = 12) -> boo
         n = 1 + t % 3
         X = random_tuple(d, n, n, mode="hermitian", rng=rng)
         try:
-            val = eval_expr_matrix(m, X)
+            val = eval_expr_matrix(m, X, tol)
         except DomainError:
             continue
-        s = np.linalg.svd(val, compute_uv=False)
-        if nonsingular(s[-1], s[0]):
+        if full_rank(val, tol)[0]:
             return True
     return False
 
 
 def schur_inverse_rep(m: ExprMatrix, d: int | None = None, check: bool = True,
-                      seed=0) -> ExprMatrix:
+                      seed=0, tol: float = RANK_TOL) -> ExprMatrix:
     """A representative of m^{-1} defined on hdom m intersect hdom m^{-1}.
 
     Recursion: for e = 1 invert the entry; otherwise let c be the first
@@ -109,7 +109,7 @@ def schur_inverse_rep(m: ExprMatrix, d: int | None = None, check: bool = True,
         raise ValueError("matrix must be square")
     if d is None:
         d = max((max(ex.variables_used(e), default=0) for e in m.entries), default=0)
-    if check and not _probably_invertible(m, max(d, 1), seed=seed):
+    if check and not _probably_invertible(m, max(d, 1), seed=seed, tol=tol):
         raise NotInvertibleError("matrix evaluates singularly at all probes")
     return _matmul(_gram_inverse(m), m.adjoint())
 
@@ -163,7 +163,7 @@ def pencil_to_expr_matrix(coeffs) -> ExprMatrix:
 
 
 def widen_hdom(r: Expr, pencil_override: tuple | None = None,
-               d: int | None = None, seed=0) -> Expr:
+               d: int | None = None, seed=0, tol: float = RANK_TOL) -> Expr:
     """A representative of the same rational function whose hermitian domain
     contains every hermitian tuple where the representation pencil is
     invertible.
@@ -185,7 +185,7 @@ def widen_hdom(r: Expr, pencil_override: tuple | None = None,
         rep = build_realization(r, d)
         u, v = rep.u, rep.v
         M = pencil_to_expr_matrix(rep.pencil.coeffs)
-    S = schur_inverse_rep(M, d=d, seed=seed)
+    S = schur_inverse_rep(M, d=d, seed=seed, tol=tol)
     acc = ex.scalar(0)
     for i in range(S.rows):
         if u[i] == 0:

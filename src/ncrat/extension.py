@@ -19,12 +19,10 @@ from .numkernel import (
     MatrixTuple,
     NotPositiveDefiniteError,
     cholesky,
+    full_rank,
     lu_solve,
     matrix_to_json,
-    nonsingular,
     random_tuple,
-    sigma_extremes,
-    svd_rank,
 )
 from .pencil import HomogeneousPencil, is_full, rank_conditions, rect_eval
 from .realization import build_realization, in_domain
@@ -142,8 +140,7 @@ def extend_side(L: HomogeneousPencil, X: MatrixTuple, seed=0,
     full = is_full(L, seed=_derive(seed, 101), tol=tol)
     if full.verdict != "full":
         raise HypothesisError(f"pencil is {full.verdict}")
-    rank, _ = svd_rank(rect_eval(L, X), tol)
-    if rank != L.size * ell:
+    if not full_rank(rect_eval(L, X), tol)[0]:  # tall, as ell <= m
         raise HypothesisError("pencil evaluation at X is column-rank deficient")
 
     rng = np.random.default_rng(_derive(seed, 1))
@@ -160,11 +157,9 @@ def extend_side(L: HomogeneousPencil, X: MatrixTuple, seed=0,
         w = n + m - ell
         cand = SideExtension(random_tuple(X.d, m, w, rng=rng),
                              random_tuple(X.d, n, w, rng=rng), n, 0.0)
-        smin, smax = sigma_extremes(rect_eval(L, cand.completed(X)))
+        ok, smin = full_rank(rect_eval(L, cand.completed(X)), tol)
         log.append(smin)
-        if nonsingular(smin, smax, tol):
-            return SideExtension(cand.Xhat, cand.Xcheck, n, smin)
-        return None
+        return SideExtension(cand.Xhat, cand.Xcheck, n, smin) if ok else None
 
     return _search(sizes, trials, attempt)
 
@@ -257,9 +252,9 @@ def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
     if mode == "sampling":
         def attempt(n, log):
             Z = random_tuple(Y.d, n, n, rng=rng)
-            smin, smax = sigma_extremes(rect_eval(L, _theorem_tuple(Y, Yp, Ypp, Z)))
+            ok, smin = full_rank(rect_eval(L, _theorem_tuple(Y, Yp, Ypp, Z)), tol)
             log.append(smin)
-            return SquareExtension(n, Z, smin, bound) if nonsingular(smin, smax, tol) else None
+            return SquareExtension(n, Z, smin, bound) if ok else None
 
         return _search(_grow_schedule(max(m, 1), L.size, bound), trials, attempt)
 
@@ -289,8 +284,8 @@ def extend_square(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
         "Cpp": MatrixTuple(tuple(w.T for w in side_r.Xcheck)),
     }
     T5 = _mat5_tuple(Y, Yp, Ypp, parts)
-    smin, smax = sigma_extremes(rect_eval(L, T5))
-    if not nonsingular(smin, smax, tol):
+    ok, smin = full_rank(rect_eval(L, T5), tol)
+    if not ok:
         raise BoundExhaustedError([smin])
     Z = MatrixTuple(tuple(t[ell:, ell:] for t in T5))
     return SquareExtension(T5.rows - ell, Z, smin, bound, parts=parts)
@@ -360,9 +355,9 @@ def extend_hermitian(r: Expr, X: MatrixTuple, Y: MatrixTuple | None, seed=0,
         Yn = [np.vstack([Y[j], np.zeros((n - m, ell))]) for j in range(d)]
         T = MatrixTuple((embed(np.eye(ell), np.zeros((n, ell)), Z0),)
                         + tuple(embed(X[j], Yn[j], Zp[j]) for j in range(d)))
-        smin, smax = sigma_extremes(rect_eval(rep.pencil, T))
+        ok, smin = full_rank(rect_eval(rep.pencil, T), tol)
         log.append(smin)
-        if not nonsingular(smin, smax, tol):
+        if not ok:
             return None
         E = lu_solve(C, np.eye(n))
         Zmats = tuple(E @ Zj @ E.conj().T for Zj in Zp)
@@ -389,8 +384,7 @@ def extend_nonhermitian(r: Expr, X: MatrixTuple, seed=0, trials: int = 16,
         d = X.d
     rep = build_realization(r, d)
     stacked = MatrixTuple((np.eye(m, ell),) + X.matrices)
-    rank, _ = svd_rank(rect_eval(rep.pencil, stacked), tol)
-    if rank != rep.size * ell:
+    if not full_rank(rect_eval(rep.pencil, stacked), tol)[0]:  # tall, as ell <= m
         raise HypothesisError("stacked pencil evaluation is column-rank deficient")
     rng = np.random.default_rng(_derive(seed, 8))
 

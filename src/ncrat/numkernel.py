@@ -19,14 +19,14 @@ __all__ = [
     "NotPositiveDefiniteError",
     "MatrixTuple",
     "lu_solve",
-    "svd_rank",
-    "nonsingular",
+    "full_rank",
     "random_tuple",
     "kron",
     "hermitian_eig",
     "cholesky",
     "norm_max",
     "herm_deviation",
+    "is_hermitian",
     "matrix_to_json",
     "matrix_from_json",
     "vector_from_json",
@@ -36,6 +36,8 @@ __all__ = [
 # invertibility test
 RANK_TOL = 1e-9
 PIVOT_TOL = 1e-13
+# relative deviation threshold of every hermitian-data test
+HERM_TOL = 1e-12
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -65,6 +67,12 @@ def herm_deviation(a) -> float:
     return norm_max(a - a.conj().T)
 
 
+def is_hermitian(a, tol: float = HERM_TOL) -> bool:
+    """Whether max|A - A*| stays within tol * max(1, max|A|); a NaN deviation
+    passes, as it never exceeds the bound."""
+    return not herm_deviation(a) > tol * max(1.0, norm_max(a))
+
+
 def lu_solve(A, B, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     """Solve A X = B by LU with partial pivoting; rejects tiny pivots."""
     A = _as_matrix(A)
@@ -84,18 +92,6 @@ def lu_solve(A, B, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
 
 
-def svd_rank(A, tol: float = RANK_TOL) -> tuple[int, float]:
-    """Numerical rank (singular values above tol*sigma_max) and sigma_min."""
-    A = _as_matrix(A)
-    if A.size == 0:
-        return 0, 0.0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0:
-        return 0, 0.0
-    rank = int(np.sum(s > tol * s[0]))
-    return rank, float(s[-1])
-
-
 def sigma_extremes(A) -> tuple[float, float]:
     """(sigma_min, sigma_max) of A."""
     A = _as_matrix(A)
@@ -105,11 +101,18 @@ def sigma_extremes(A) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def nonsingular(smin: float, smax: float, tol: float = RANK_TOL) -> bool:
-    """The relative invertibility test smin > tol * smax on the extreme
-    singular values of one SVD; smax is floored at 1e-300, so a zero matrix
-    never passes."""
-    return smin > tol * max(smax, 1e-300)
+def full_rank(A, tol: float = RANK_TOL) -> tuple[bool, float]:
+    """The one rank, fullness and invertibility test: whether
+    sigma_min > tol * sigma_max on one SVD of A, and sigma_min.
+
+    sigma_max is floored at 1e-300, so a zero matrix never passes; a matrix
+    with no entries does.  For a wide matrix this is full row rank; callers
+    that need full column rank check the shape first.
+    """
+    if _as_matrix(A).size == 0:
+        return True, 0.0
+    smin, smax = sigma_extremes(A)
+    return smin > tol * max(smax, 1e-300), smin
 
 
 def kron(A, B) -> np.ndarray:

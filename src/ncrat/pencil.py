@@ -18,13 +18,10 @@ import numpy as np
 from .numkernel import (
     RANK_TOL,
     MatrixTuple,
+    full_rank,
     kron,
-    matrix_from_json,
     matrix_to_json,
-    nonsingular,
     random_tuple,
-    sigma_extremes,
-    svd_rank,
 )
 
 __all__ = [
@@ -66,10 +63,6 @@ class HomogeneousPencil:
 
     def to_json(self) -> dict:
         return {"e": self.size, "coeffs": [matrix_to_json(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "HomogeneousPencil":
-        return HomogeneousPencil(tuple(matrix_from_json(c) for c in obj["coeffs"]))
 
 
 def rect_eval(L: HomogeneousPencil, X: MatrixTuple) -> np.ndarray:
@@ -128,10 +121,9 @@ def is_full(pencil: HomogeneousPencil, trials: int = 20, seed=0,
     for t in range(trials):
         X = random_tuple(d, n, n, mode="generic", rng=rng)
         MX = affine_eval(pencil, X) if affine else rect_eval(pencil, X)
-        smin, smax = sigma_extremes(MX)
-        last_smin = smin
-        if nonsingular(smin, smax, tol):
-            return FullnessReport("full", X, smin, t + 1, n)
+        ok, last_smin = full_rank(MX, tol)
+        if ok:
+            return FullnessReport("full", X, last_smin, t + 1, n)
     return FullnessReport("not-full-probabilistic", None, last_smin, trials, n)
 
 
@@ -150,7 +142,7 @@ def rank_conditions(L: HomogeneousPencil, Y: MatrixTuple, Yp: MatrixTuple,
         raise ValueError("Y'' must have l rows")
     stacked = MatrixTuple(tuple(np.vstack([Y[j], Yp[j]]) for j in range(Y.d)))
     concat = MatrixTuple(tuple(np.hstack([Y[j], Ypp[j]]) for j in range(Y.d)))
-    col_rank, col_smin = svd_rank(rect_eval(L, stacked), tol)
-    row_rank, row_smin = svd_rank(rect_eval(L, concat), tol)
-    want = L.size * ell
-    return col_rank == want, row_rank == want, (col_smin, row_smin)
+    # [Y; Y'] is tall and [Y  Y''] wide, so full rank is column and row rank
+    col_ok, col_smin = full_rank(rect_eval(L, stacked), tol)
+    row_ok, row_smin = full_rank(rect_eval(L, concat), tol)
+    return col_ok, row_ok, (col_smin, row_smin)

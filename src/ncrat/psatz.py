@@ -33,12 +33,13 @@ from .expr import Expr
 from .numkernel import (
     RANK_TOL,
     MatrixTuple,
+    full_rank,
     hermitian_eig,
+    is_hermitian,
     kron,
     matrix_to_json,
     norm_max,
     random_tuple,
-    svd_rank,
 )
 from .pencil import HomogeneousPencil, affine_eval
 from .realization import DomainError, eval_expr
@@ -147,7 +148,7 @@ def _check_hermitian_function(r: Expr, d: int, rng, trials: int = 12,
         except DomainError:
             continue
         checked += 1
-        if norm_max(val - val.conj().T) > tol * max(1.0, norm_max(val)):
+        if not is_hermitian(val, tol):
             raise ValueError("expression is not hermitian as a function")
     if checked == 0:
         raise ValueError("could not sample the domain to check hermitianness")
@@ -230,15 +231,16 @@ def _prune_rows(A: np.ndarray, B: np.ndarray | None, free: np.ndarray,
     return sorted(piv[:rank]), resid
 
 
-def _separation_rank(words, tables, tol: float) -> int:
+def _separates(words, tables, tol: float) -> bool:
+    """Whether evaluation at the tables is injective on the span of the
+    words: no fewer sample coordinates than words, and full column rank."""
     cols = [np.concatenate([t.word(idx).ravel() for t in tables])
             for _, idx in words]
     A = np.array(cols).T
     # column normalization: injectivity is scale-free, conditioning is not
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
-    rank, _ = svd_rank(A / norms, tol)
-    return rank
+    return A.shape[0] >= A.shape[1] and full_rank(A / norms, tol)[0]
 
 
 def _extract(M: np.ndarray, basis: FunctionBasis, e: int, tol: float):
@@ -309,7 +311,7 @@ def _setup(r: Expr, L: HomogeneousPencil | None, level: int, seed, d=None,
     basis = build_basis(R, level, tol=tol, stream=stream)
     words, big_tables = independent_words(stream, 2 * level + 1, tol)
     for tables in (basis.tables, big_tables):
-        if _separation_rank(words, tables, tol) == len(words):
+        if _separates(words, tables, tol):
             return d, L, R, basis, tables, 1 + len(words)
     raise RuntimeError(
         f"sample set does not separate the level-{2 * level + 1} product "

@@ -17,11 +17,10 @@ from .expr import Expr
 from .numkernel import (
     RANK_TOL,
     MatrixTuple,
+    full_rank,
     kron,
     lu_solve,
     matrix_to_json,
-    nonsingular,
-    sigma_extremes,
 )
 from .pencil import HomogeneousPencil, affine_eval
 
@@ -123,8 +122,8 @@ def realization_eval(rep: Realization, X: MatrixTuple,
     """(u* o I) M(X)^{-1} (v o I); raises on a singular pencil evaluation."""
     n = X.rows
     MX = affine_eval(rep.pencil, X)
-    smin, smax = sigma_extremes(MX)
-    if not nonsingular(smin, smax, tol):
+    ok, smin = full_rank(MX, tol)
+    if not ok:
         raise DomainError(rep.source, smin)
     rhs = kron(rep.v.reshape(-1, 1), np.eye(n))
     sol = lu_solve(MX, rhs)
@@ -133,8 +132,8 @@ def realization_eval(rep: Realization, X: MatrixTuple,
 
 
 def _safe_inverse(value: np.ndarray, node: Expr, tol: float) -> np.ndarray:
-    smin, smax = sigma_extremes(value)
-    if not nonsingular(smin, smax, tol):
+    ok, smin = full_rank(value, tol)
+    if not ok:
         raise DomainError(node, smin)
     return lu_solve(value, np.eye(value.shape[0]))
 
@@ -186,6 +185,4 @@ def in_domain(r: Expr, X: MatrixTuple, d: int | None = None,
         if d is None:
             d = max(max(ex.variables_used(r), default=0), X.d)
         rep = build_realization(r, d)
-    MX = affine_eval(rep.pencil, X)
-    smin, smax = sigma_extremes(MX)
-    return nonsingular(smin, smax, tol), smin
+    return full_rank(affine_eval(rep.pencil, X), tol)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .numkernel import herm_deviation, norm_max
+from .numkernel import is_hermitian, norm_max
 
 __all__ = [
     "SDPConstraint",
@@ -31,8 +31,6 @@ __all__ = [
     "export_sdpa",
     "import_sdpa",
 ]
-
-HERM_TOL = 1e-12
 
 # interior-point settings, read by solve() at each call
 MAX_ITER = 100
@@ -48,9 +46,8 @@ def _herm(A: np.ndarray) -> np.ndarray:
 
 
 def _check_herm(mats, what: str):
-    for A in mats:
-        if herm_deviation(A) > HERM_TOL * max(1.0, norm_max(A)):
-            raise ValueError(f"{what} coefficient matrix is not hermitian")
+    if not all(is_hermitian(A) for A in mats):
+        raise ValueError(f"{what} coefficient matrix is not hermitian")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from ncrat import domainrep
 from ncrat.cli import EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from ncrat.numkernel import MatrixTuple, matrix_to_json, random_tuple
+from ncrat.numkernel import MatrixTuple, full_rank, matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil
 from ncrat.sdpcore import import_sdpa
 
@@ -164,6 +165,15 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "singular Gram matrix of the 6-element basis" in err
+
+    def test_tol_reaches_widen_probe(self, capsys, monkeypatch):
+        # the invertibility probe of the widened pencil cuts at --tol
+        tols = []
+        monkeypatch.setattr(domainrep, "full_rank",
+                            lambda A, tol: tols.append(tol) or full_rank(A, tol))
+        code, _, _ = _run(capsys, ["widen", "inv(x1)", "--tol", "1e-6"])
+        assert code == EXIT_OK
+        assert tols and set(tols) == {1e-6}
 
     def test_affine_pencil_to_extend_side_usage(self, capsys, fixtures):
         code, _, _ = _run(capsys, ["extend", "side", "--pencil", fixtures["affine.json"],

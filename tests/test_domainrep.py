@@ -17,10 +17,9 @@ from ncrat.domainrep import (
 from ncrat.numkernel import (
     RANK_TOL,
     MatrixTuple,
+    full_rank,
     lu_solve,
-    nonsingular,
     random_tuple,
-    sigma_extremes,
 )
 from ncrat.realization import DomainError, eval_expr
 
@@ -53,9 +52,9 @@ def _tree_eval(r, X, tol=RANK_TOL):
         if e.kind == ex.MUL:
             return rec(e.children[0]) @ rec(e.children[1])
         val = rec(e.children[0])
-        smin, smax = sigma_extremes(val)
-        if not nonsingular(smin, smax, tol):
-            raise DomainError(e, smin)
+        s = np.linalg.svd(val, compute_uv=False)
+        if not s[-1] > tol * max(s[0], 1e-300):
+            raise DomainError(e, float(s[-1]))
         return lu_solve(val, np.eye(val.shape[0]))
 
     return rec(r)
@@ -93,8 +92,8 @@ class TestEvalExprMatrix:
     def test_entries_share_one_memo(self, monkeypatch, rng):
         s = schur_inverse_rep(_generic_matrix(), d=4)
         calls = []
-        monkeypatch.setattr(realization, "sigma_extremes",
-                            lambda A: calls.append(1) or sigma_extremes(A))
+        monkeypatch.setattr(realization, "full_rank",
+                            lambda A, tol: calls.append(1) or full_rank(A, tol))
         eval_expr_matrix(s, random_tuple(4, 2, 2, mode="hermitian", rng=rng))
         assert 0 < len(calls) <= sum(e.kind == ex.INV for e in ex.postorder(*s.entries))
 
@@ -125,8 +124,8 @@ class TestMemoizedEval:
     def test_each_inverse_checked_once(self, monkeypatch, rng):
         w = widen_hdom(ex.parse("inv(x4 - x3*inv(x1)*x2)", d=4), d=4)
         calls = []
-        monkeypatch.setattr(realization, "sigma_extremes",
-                            lambda A: calls.append(1) or sigma_extremes(A))
+        monkeypatch.setattr(realization, "full_rank",
+                            lambda A, tol: calls.append(1) or full_rank(A, tol))
         eval_expr(w, random_tuple(4, 2, 2, mode="hermitian", rng=rng))
         assert 0 < len(calls) <= sum(e.kind == ex.INV for e in ex.postorder(w))
 

@@ -1,22 +1,27 @@
 """Dense linear algebra helpers and matrix tuples."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ncrat
 from ncrat.numkernel import (
     MatrixTuple,
     NotPositiveDefiniteError,
     SingularMatrixError,
     cholesky,
+    full_rank,
     herm_deviation,
     hermitian_eig,
+    is_hermitian,
     kron,
     lu_solve,
     matrix_from_json,
     matrix_to_json,
     random_tuple,
     sigma_extremes,
-    svd_rank,
 )
 
 
@@ -41,16 +46,40 @@ class TestRank:
     def test_exact_rank(self, rng):
         U = rng.standard_normal((5, 2))
         V = rng.standard_normal((2, 5))
-        rank, smin = svd_rank(U @ V)
-        assert rank == 2
+        ok, smin = full_rank(U @ V)
+        assert not ok and smin < 1e-12
+        # tall U has full column rank and wide V full row rank
+        assert full_rank(U)[0] and full_rank(V)[0]
 
     def test_zero_matrix(self):
-        assert svd_rank(np.zeros((3, 3)))[0] == 0
+        assert full_rank(np.zeros((3, 3))) == (False, 0.0)
+
+    def test_empty_matrix(self):
+        assert full_rank(np.zeros((3, 0))) == (True, 0.0)
+
+    def test_relative_threshold(self):
+        # scale-free: sigma_min / sigma_max = 1e-6 passes at 1e-9, not at 1e-5
+        A = 1e-20 * np.diag([1.0, 1e-6])
+        assert full_rank(A)[0]
+        assert not full_rank(A, 1e-5)[0]
 
     def test_sigma_extremes(self):
         smin, smax = sigma_extremes(np.diag([3.0, 1.0]))
         assert smin == pytest.approx(1.0)
         assert smax == pytest.approx(3.0)
+
+
+class TestIsHermitian:
+    def test_relative_to_max_entry(self):
+        A = np.array([[1e6, 1.0], [1.0 + 1e-7, 0.0]])
+        assert is_hermitian(A)  # deviation about 1e-7, bound 1e-12 * 1e6
+        A[0, 0] = 1e-3
+        assert not is_hermitian(A)  # the bound is floored at 1e-12 * 1
+
+    def test_bound_is_inclusive(self):
+        A = np.array([[2.0, 1.0], [0.0, 0.0]])  # deviation 1, max entry 2
+        assert is_hermitian(A, 0.5)
+        assert not is_hermitian(A, 0.49)
 
 
 class TestKron:
@@ -138,3 +167,27 @@ class TestRandomTuple:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             random_tuple(1, 2, 2, mode="bogus", seed=0)
+
+
+def test_one_rank_test():
+    """Every rank, fullness, invertibility and domain decision in the package
+    goes through `full_rank`: no module but numkernel takes an SVD or calls
+    `sigma_extremes` itself, so one rule and one tolerance decide them all.
+
+    The sweep's Gram-Schmidt cut (gnsbasis) and the pivoted-QR cut in
+    `psatz._prune_rows` pick rows to keep rather than answer yes or no, and
+    stay outside this rule.
+    """
+    src = Path(ncrat.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "numkernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in ("svd", "matrix_rank", "sigma_extremes"):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []

@@ -1,8 +1,11 @@
 """Homogeneous pencils: rectangular evaluation, fullness, rank conditions."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ncrat.cli import _load_pencil
 from ncrat.numkernel import MatrixTuple, random_tuple
 from ncrat.pencil import HomogeneousPencil, is_full, rank_conditions, rect_eval
 
@@ -83,7 +86,10 @@ class TestRankConditions:
         t = FULL4.transpose()
         assert np.array_equal(t.coeffs[1], FULL4.coeffs[1].T)
 
-    def test_json_round_trip(self):
-        q = HomogeneousPencil.from_json(FULL4.to_json())
+    def test_json_round_trip(self, tmp_path):
+        # the "coeffs" format reads back through the CLI's one pencil reader
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(FULL4.to_json()))
+        q, _ = _load_pencil(str(path), "coeffs")
         for a, b in zip(q.coeffs, FULL4.coeffs):
             assert np.array_equal(a, b)

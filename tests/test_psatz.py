@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,19 +143,19 @@ class TestSetup:
         assert 0 < drawn <= len(calls)
 
     def test_falls_back_to_the_check_tables(self, monkeypatch):
-        rank = psatz._separation_rank
+        separates = psatz._separates
         seen = []
         sweeps = []
 
         def short_once(words, tables, tol):
             seen.append(tables)
-            return rank(words, tables, tol) - (len(seen) == 1)
+            return separates(words, tables, tol) and len(seen) > 1
 
         def spy(stream, level, tol):
             sweeps.append(independent_words(stream, level, tol))
             return sweeps[-1]
 
-        monkeypatch.setattr(psatz, "_separation_rank", short_once)
+        monkeypatch.setattr(psatz, "_separates", short_once)
         monkeypatch.setattr(psatz, "independent_words", spy)
         r = ex.parse("inv(2-x1)", d=1)
         _, _, _, basis, tables, carath = psatz._setup(r, INTERVAL, 1, 0)
@@ -165,9 +166,17 @@ class TestSetup:
         assert carath == 1 + len(words)
 
     def test_no_separation_raises(self, monkeypatch):
-        monkeypatch.setattr(psatz, "_separation_rank", lambda *args: -1)
+        monkeypatch.setattr(psatz, "_separates", lambda *args: False)
         with pytest.raises(RuntimeError, match="does not separate the level-3"):
             psatz._setup(ex.parse("inv(2-x1)", d=1), INTERVAL, 1, 0)
+
+    def test_more_words_than_coordinates(self):
+        # three words evaluated at one 1 x 1 sample: the 1 x 3 evaluation
+        # matrix has full row rank but cannot be injective
+        words = [(None, (k,)) for k in range(3)]
+        table = SimpleNamespace(word=lambda idx: np.array([[idx[0] + 1.0]]))
+        assert not psatz._separates(words, [table], 1e-9)
+        assert psatz._separates(words[:1], [table], 1e-9)
 
     def test_level2_memory(self):
         # candidates grow from the kept basis, not from every word of V_5
