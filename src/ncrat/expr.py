@@ -181,10 +181,11 @@ def involution(r: Expr) -> Expr:
     return adj[id(r)]
 
 
-def postorder(*roots: Expr) -> list[Expr]:
+def postorder(*roots: Expr, skip=()) -> list[Expr]:
     """Every distinct node (by identity) under the roots, once, children
     before parents, in the order a left-to-right recursive walk of the
-    expanded trees first finishes them.  Iterative, so depth is unbounded."""
+    expanded trees first finishes them.  Iterative, so depth is unbounded.
+    Nodes in `skip`, and nodes reached only through them, are left out."""
     seen: set[int] = set()
     out: list[Expr] = []
     stack = [(r, False) for r in reversed(roots)]
@@ -192,7 +193,7 @@ def postorder(*roots: Expr) -> list[Expr]:
         e, expanded = stack.pop()
         if expanded:
             out.append(e)
-        elif id(e) not in seen:
+        elif id(e) not in seen and e not in skip:
             seen.add(id(e))
             stack.append((e, True))
             stack.extend((c, False) for c in reversed(e.children))

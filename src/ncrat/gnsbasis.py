@@ -8,13 +8,13 @@ candidates for V_{k+1} are the kept words of length k times each element of
 R, which together with V_k span V_{k+1}.  By the local-global linear
 dependence principle the kept words are a basis of V_l with probability 1.
 
-Each admitted sample carries an evaluation table: the values of R there, which
-admission computes anyway, and the values of words as prefix products of them.
+Each admitted sample carries `eval_exprs`' memo there, filled with R at
+admission and extended by every later evaluation: one evaluation per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "SampleStream",
     "build_R",
     "independent_words",
+    "word_matrix",
     "build_basis",
     "sample_points",
     "inner_product",
@@ -151,47 +152,43 @@ def inner_product(s1: Expr, s2: Expr, ip: EvalInnerProduct) -> complex:
                     [eval_expr(s2, X) for X in ip.samples], ip)
 
 
+@dataclass(eq=False)
 class EvalTable:
-    """Values at one sample X of the elements of R and of the words over R.
+    """A sample X admitted at singularity tolerance tol, and `eval_exprs`' memo
+    there: the values of R, from admission, and of every node evaluated since."""
 
-    A word is keyed by its index tuple into R: () is R[0] = 1, (j,) is R[j],
-    and a longer idx is the product of word idx[:-1] and R[idx[-1]], filled
-    on first use.  That is the product, in the same order, that the tree
-    evaluator computes for ex.mul(word, R[j]), so every value is bit-for-bit
-    eval_expr of the word.
-    """
+    X: MatrixTuple
+    tol: float
+    memo: dict = field(default_factory=dict)
 
-    def __init__(self, X: MatrixTuple, rvals: tuple[np.ndarray, ...]):
-        self.X = X
-        self.rvals = rvals
-        self._words: dict[tuple[int, ...], np.ndarray] = {}
-
-    def word(self, idx: tuple[int, ...]) -> np.ndarray:
-        if len(idx) <= 1:
-            return self.rvals[idx[0] if idx else 0]
-        val = self._words.get(idx)
-        if val is None:
-            val = self.word(idx[:-1]) @ self.rvals[idx[-1]]
-            self._words[idx] = val
-        return val
+    def values(self, exprs) -> list[np.ndarray]:
+        return eval_exprs(exprs, self.X, self.tol, self.memo)
 
 
-def _admits(R: SubexprSet, X: MatrixTuple, cap: float = NORM_CAP):
+def word_matrix(words, tables) -> np.ndarray:
+    """One row per word: its values at the tables' samples, raveled and
+    concatenated."""
+    return np.array([np.concatenate([v.ravel() for v in row])
+                     for row in zip(*(t.values(words) for t in tables))])
+
+
+def _admits(R: SubexprSet, X: MatrixTuple, tol: float, cap: float = NORM_CAP):
     """(table, None) when all elements of R are defined at X with norms under
-    the cap; (None, blocking subexpression) if not.  R is evaluated in one
-    memoised pass, so shared subexpressions are computed once."""
+    the cap; (None, blocking subexpression) if not."""
+    table = EvalTable(X, tol)
     try:
-        vals = eval_exprs(R.exprs, X)
+        vals = table.values(R.exprs)
     except DomainError as err:
         return None, err.subexpr
     for q, val in zip(R.exprs, vals):
         if norm_max(val) > cap:
             return None, q
-    return EvalTable(X, tuple(vals)), None
+    return table, None
 
 
 def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
-                  trial_budget: int = 200, d: int | None = None) -> list[EvalTable]:
+                  trial_budget: int = 200, d: int | None = None,
+                  tol: float = RANK_TOL) -> list[EvalTable]:
     """Hermitian tuples of the given sizes in the common domain of R, found by
     rejection sampling, each with its evaluation table."""
     if d is None:
@@ -202,7 +199,7 @@ def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
         blocking = None
         for _ in range(trial_budget):
             X = random_tuple(d, n, n, mode="hermitian", rng=rng)
-            table, blk = _admits(R, X)
+            table, blk = _admits(R, X, tol)
             if table is not None:
                 out.append(table)
                 got += 1
@@ -221,9 +218,11 @@ class SampleStream:
     first demand, from one generator, so every reader of the stream sees the
     same tuples."""
 
-    def __init__(self, R: SubexprSet, seed=0, d: int | None = None):
+    def __init__(self, R: SubexprSet, seed=0, d: int | None = None,
+                 tol: float = RANK_TOL):
         self.R = R
         self.d = d
+        self.tol = tol
         self.rng = np.random.default_rng(seed)
         self.sizes: list[list[EvalTable]] = []  # sizes[n - 1]: those of size n
 
@@ -231,56 +230,55 @@ class SampleStream:
         """The tables of sizes 1..n."""
         while len(self.sizes) < n:
             self.sizes.append(sample_points(self.R, [len(self.sizes) + 1], self.rng,
-                                            per_size=PER_SIZE, d=self.d))
+                                            per_size=PER_SIZE, d=self.d, tol=self.tol))
         return [t for size in self.sizes[:n] for t in size]
 
 
-def _sweep(R: SubexprSet, level: int, tables, tol: float):
-    """(word, index tuple) pairs of an independent subset of V_level, from an
-    in-order greedy sweep over the words' values at the tables' samples.
+def _sweep(R: SubexprSet, level: int, tables, tol: float) -> list[Expr]:
+    """The words of an independent subset of V_level, from an in-order greedy
+    sweep over the words' values at the tables' samples.
 
     The candidates are 1, then the elements of R, then for each length k the
     kept words of length k times each R[j], deduped by node.  A candidate is
     kept iff its residual against the kept words exceeds tol times the
     largest norm of the candidates formed so far, its own length's included.
     The order (by length, then prefix, then j) gives the basis prefix
-    property, and the prefix idx[:-1] of every kept word is kept.
+    property, and the left factor of every kept product is kept.
     """
     one = R.exprs[0]
     seen = {one}
     kept = []
     Q = np.zeros((sum(t.X.rows ** 2 for t in tables), 0), dtype=complex)
     scale = 0.0
-    frontier = [(one, ())]
+    frontier = [one]
     for length in range(level + 1):
         if not frontier:
             break
-        C = np.array([np.concatenate([t.word(idx).ravel() for t in tables])
-                      for _, idx in frontier], dtype=complex)
+        C = word_matrix(frontier, tables)
         scale = max(scale, float(np.max(np.linalg.norm(C, axis=1))))
         start = len(kept)
-        for (w, idx), c in zip(frontier, C):
+        for w, c in zip(frontier, C):
             # two passes of classical Gram-Schmidt for stability
             for _ in range(2):
                 c = c - Q @ (Q.conj().T @ c)
             nrm = np.linalg.norm(c)
             if nrm > tol * scale:
-                kept.append((w, idx))
+                kept.append(w)
                 Q = np.hstack([Q, (c / nrm).reshape(-1, 1)])
         frontier = []
-        for w, idx in kept[start:] if length < level else ():
-            for j in range(1, len(R.exprs)):
-                prod = ex.mul(w, R.exprs[j]) if idx else R.exprs[j]
+        for w in kept[start:] if length < level else ():
+            for q in R.exprs[1:]:
+                prod = q if w is one else ex.mul(w, q)
                 if prod not in seen:
                     seen.add(prod)
-                    frontier.append((prod, idx + (j,)))
+                    frontier.append(prod)
     return kept
 
 
 def independent_words(stream: SampleStream, level: int, tol: float = RANK_TOL):
-    """The (word, index tuple) pairs the sweep keeps for V_level and the tables
-    it stopped at: sample sizes grow until the number kept is unchanged across
-    two consecutive size increments, or MAX_SIZE is reached."""
+    """The words the sweep keeps for V_level and the tables it stopped at:
+    sample sizes grow until the number kept is unchanged across two
+    consecutive size increments, or MAX_SIZE is reached."""
     kept = _sweep(stream.R, level, stream.upto(1), tol)
     stable, n = 0, 1
     while stable < 2 and n < MAX_SIZE:
@@ -294,13 +292,10 @@ def independent_words(stream: SampleStream, level: int, tol: float = RANK_TOL):
 @dataclass(frozen=True)
 class FunctionBasis:
     """Numerically independent basis of V_level, with its evaluation inner
-    product, Gram matrix and the evaluation tables of its samples.
-    indices[k] is the index tuple of exprs[k] over the R it was built from,
-    for lookups in the tables."""
+    product, Gram matrix and the evaluation tables of its samples."""
 
     level: int
     exprs: tuple[Expr, ...]
-    indices: tuple[tuple[int, ...], ...]
     ip: EvalInnerProduct
     gram: np.ndarray
     tables: tuple[EvalTable, ...]
@@ -324,19 +319,18 @@ def build_basis(R: SubexprSet, level: int, seed=0, tol: float = RANK_TOL,
     """Extract a basis of V_level = span of words of length <= level over R.
 
     The samples come from `stream`, by default a new SampleStream over R
-    from seed and d.
+    from seed, d and tol.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     if stream is None:
-        stream = SampleStream(R, seed, d)
+        stream = SampleStream(R, seed, d, tol)
     kept, tables = independent_words(stream, level, tol)
     samples = tuple(t.X for t in tables)
     ip = EvalInnerProduct(samples, default_weights(samples))
-    basis = tuple(w for w, _ in kept)
-    indices = tuple(idx for _, idx in kept)
+    basis = tuple(kept)
     N = len(basis)
-    vals = [[t.word(idx) for t in tables] for idx in indices]
+    vals = list(zip(*(t.values(basis) for t in tables)))
     gram = np.zeros((N, N), dtype=complex)
     for i in range(N):
         for j in range(i, N):
@@ -348,4 +342,4 @@ def build_basis(R: SubexprSet, level: int, seed=0, tol: float = RANK_TOL,
     w, _ = hermitian_eig(gram * np.outer(dscale, dscale))
     if w[0] <= N * np.finfo(float).eps:
         raise SingularGramError(N, float(w[0]))
-    return FunctionBasis(level, basis, indices, ip, gram, tuple(tables))
+    return FunctionBasis(level, basis, ip, gram, tuple(tables))

@@ -68,9 +68,8 @@ def herm_deviation(a) -> float:
 
 
 def is_hermitian(a, tol: float = HERM_TOL) -> bool:
-    """Whether max|A - A*| stays within tol * max(1, max|A|); a NaN deviation
-    passes, as it never exceeds the bound."""
-    return not herm_deviation(a) > tol * max(1.0, norm_max(a))
+    """Whether A is finite and max|A - A*| stays within tol * max(1, max|A|)."""
+    return bool(np.isfinite(a).all()) and herm_deviation(a) <= tol * max(1.0, norm_max(a))
 
 
 def lu_solve(A, B, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
@@ -159,7 +158,7 @@ class MatrixTuple:
             if self.rows != self.cols:
                 raise ValueError("hermitian tuples must be square")
             for m in mats:
-                if herm_deviation(m) > 1e-12:
+                if not is_hermitian(m):
                     raise ValueError("hermitian flag set on non-hermitian matrix")
         if self.real_symmetric:
             if not self.hermitian:

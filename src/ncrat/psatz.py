@@ -52,6 +52,7 @@ from .gnsbasis import (
     build_basis,
     independent_words,
     sample_points,
+    word_matrix,
 )
 from .sdpcore import SDPConstraint, SDPProblem, solve
 
@@ -137,18 +138,18 @@ def _augment_R(r: Expr, d: int) -> SubexprSet:
     return SubexprSet(r, tuple(exprs))
 
 
-def _check_hermitian_function(r: Expr, d: int, rng, trials: int = 12,
-                              tol: float = 1e-8) -> None:
+def _check_hermitian_function(r: Expr, d: int, rng, tol: float,
+                              trials: int = 12) -> None:
     checked = 0
     for t in range(trials):
         n = 1 + t % 3
         X = random_tuple(d, n, n, mode="hermitian", rng=rng)
         try:
-            val = eval_expr(r, X)
+            val = eval_expr(r, X, tol)
         except DomainError:
             continue
         checked += 1
-        if not is_hermitian(val, tol):
+        if not is_hermitian(val, 1e-8):
             raise ValueError("expression is not hermitian as a function")
     if checked == 0:
         raise ValueError("could not sample the domain to check hermitianness")
@@ -190,7 +191,7 @@ def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
     for table in tables:
         X = table.X
         n = X.rows
-        W = [table.word(idx) for idx in basis.indices]
+        *W, tgt = table.values(basis.exprs + (target,))
         cols = [np.array([Wa[:, s] for Wa in W]).T for s in range(n)]  # n x N each
         # T[s n + t][a, b] = (w_a* w_b)(X)[s, t]
         hparts.append(_split(np.array([Cs.conj().T @ Ct for Cs in cols for Ct in cols])))
@@ -205,7 +206,6 @@ def _assemble_rows(basis: FunctionBasis, L: HomogeneousPencil | None, tables,
                         for t, Ct in enumerate(cols):
                             Q[s * n + t, i::e, j::e] = CsL @ Ct
             gparts.append(_split(Q))
-        tgt = eval_expr(target, X)
         rhs.append(np.stack([tgt.real, tgt.imag], axis=-1).ravel())
     rhs = np.concatenate(rhs)
     free = np.zeros((len(rhs), 0 if mu_sign is None else 1))
@@ -234,9 +234,7 @@ def _prune_rows(A: np.ndarray, B: np.ndarray | None, free: np.ndarray,
 def _separates(words, tables, tol: float) -> bool:
     """Whether evaluation at the tables is injective on the span of the
     words: no fewer sample coordinates than words, and full column rank."""
-    cols = [np.concatenate([t.word(idx).ravel() for t in tables])
-            for _, idx in words]
-    A = np.array(cols).T
+    A = word_matrix(words, tables).T
     # column normalization: injectivity is scale-free, conditioning is not
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
@@ -269,7 +267,7 @@ def _reconstruct(basis: FunctionBasis, L: HomogeneousPencil | None, H, G,
                  table: EvalTable) -> np.ndarray:
     X = table.X
     n = X.rows
-    W = [table.word(idx) for idx in basis.indices]
+    W = table.values(basis.exprs)
     Wcat = np.vstack(W)  # (N n) x n
     out = Wcat.conj().T @ kron(H, np.eye(n)) @ Wcat
     if G is not None:
@@ -281,15 +279,16 @@ def _reconstruct(basis: FunctionBasis, L: HomogeneousPencil | None, H, G,
     return out
 
 
-def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed) -> float:
+def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed,
+              tol: float) -> float:
     """Worst relative residual of the certificate at held-out samples, drawn
     from a stream independent of the one that chose the SDP samples."""
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=0xC0FFEE if seed is None else seed).spawn(2)[1])
-    held = sample_points(R, [1, 2, 3], rng, per_size=3, d=d)
+    held = sample_points(R, [1, 2, 3], rng, per_size=3, d=d, tol=tol)
     worst = 0.0
     for table in held:
-        want = eval_expr(target, table.X)
+        want, = table.values((target,))
         got = _reconstruct(basis, L, H, G, table)
         worst = max(worst, norm_max(want - got) / (1 + norm_max(want)))
     return worst
@@ -305,9 +304,9 @@ def _setup(r: Expr, L: HomogeneousPencil | None, level: int, seed, d=None,
         raise ValueError("level must be >= 1")
     d, L = _pad_lmi(r, L, d)
     _check_hermitian_function(
-        r, d, np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
+        r, d, np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]), tol)
     R = _augment_R(r, d)
-    stream = SampleStream(R, seed, d)
+    stream = SampleStream(R, seed, d, tol)
     basis = build_basis(R, level, tol=tol, stream=stream)
     words, big_tables = independent_words(stream, 2 * level + 1, tol)
     for tables in (basis.tables, big_tables):
@@ -377,7 +376,7 @@ def _membership(r: Expr, L, level: int, seed, d, tol, direction: str | None):
     if direction is not None:
         mu = ex.scalar(float(sol.free[0]))
         target = ex.sub(mu, r) if direction == "sup" else ex.sub(r, mu)
-    resid = _validate(basis, L, H, G, target, R, d, seed)
+    resid = _validate(basis, L, H, G, target, R, d, seed, tol)
     if resid > RESIDUAL_TOL:
         return sol, None
     squares = tuple(s for s, in _extract(H, basis, 1, EIG_TOL))

@@ -146,18 +146,24 @@ def eval_expr(r: Expr, X: MatrixTuple, tol: float = RANK_TOL) -> np.ndarray:
     return eval_exprs((r,), X, tol)[0]
 
 
-def eval_exprs(roots, X: MatrixTuple, tol: float = RANK_TOL) -> list[np.ndarray]:
+def eval_exprs(roots, X: MatrixTuple, tol: float = RANK_TOL,
+               memo: dict | None = None) -> list[np.ndarray]:
     """The values of several expressions at X, through one memo.
 
     Nodes are evaluated in `expr.postorder`, with the operations of the tree
     evaluator on the same operands, so values are bit-for-bit those of a
     recursive walk and the first singular inverse reached is the same.
+    `memo`, the values at X of nodes evaluated before, is read and extended:
+    the walk does not enter a node it holds.
     """
     if X.rows != X.cols:
         raise ValueError("evaluation needs a square tuple")
     n = X.rows
-    vals: dict[int, np.ndarray] = {}
-    for e in ex.postorder(*roots):
+    # keyed by node, not id(): a memo keyed by id() would not keep its nodes
+    # alive, the basis sweep drops the candidates it rejects, and a new node
+    # that reused a freed id would read a stale value
+    vals: dict[Expr, np.ndarray] = {} if memo is None else memo
+    for e in ex.postorder(*roots, skip=vals):
         if e.kind == ex.SCALAR:
             val = e.value * np.eye(n)
         elif e.kind == ex.VAR:
@@ -165,13 +171,13 @@ def eval_exprs(roots, X: MatrixTuple, tol: float = RANK_TOL) -> list[np.ndarray]
                 raise ValueError(f"expression uses x{e.index} but tuple has d={X.d}")
             val = np.array(X[e.index - 1])
         elif e.kind == ex.ADD:
-            val = vals[id(e.children[0])] + vals[id(e.children[1])]
+            val = vals[e.children[0]] + vals[e.children[1]]
         elif e.kind == ex.MUL:
-            val = vals[id(e.children[0])] @ vals[id(e.children[1])]
+            val = vals[e.children[0]] @ vals[e.children[1]]
         else:
-            val = _safe_inverse(vals[id(e.children[0])], e, tol)
-        vals[id(e)] = val
-    return [vals[id(r)] for r in roots]
+            val = _safe_inverse(vals[e.children[0]], e, tol)
+        vals[e] = val
+    return [vals[r] for r in roots]
 
 
 def in_domain(r: Expr, X: MatrixTuple, d: int | None = None,

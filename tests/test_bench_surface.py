@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncrat import sdpcore
+from ncrat import expr as ex
+from ncrat import gnsbasis, sdpcore
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -76,6 +77,16 @@ def test_positional_problem_round_trips(workloads, tracer, tmp_path, k):
         assert workloads._check_kkt(p)(sol) is None
         counts = tracer._count("sdpcore.solve", (p,), sol)
         assert counts["m"] == m and counts["optimal"]
+
+
+def test_basis_counters_read(tracer):
+    # the per-layer counters read these fields of real results
+    R = gnsbasis.build_R(ex.parse("inv(2-x1)"))
+    basis = gnsbasis.build_basis(R, 1, seed=0)
+    counts = tracer._count("gnsbasis.build_basis", (R, 1), basis)
+    assert counts == {"dim": basis.dim, "samples": len(basis.tables)} and basis.dim > 0
+    pts = gnsbasis.sample_points(R, [1, 2], np.random.default_rng(0), per_size=2)
+    assert tracer._count("gnsbasis.sample_points", (R, [1, 2]), pts) == {"admitted": 4}
 
 
 @pytest.mark.parametrize("name", ["psatz-oracle", "sdp-random", "widen-domain",

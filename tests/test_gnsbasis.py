@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncrat import expr as ex
-from ncrat import gnsbasis
+from ncrat import gnsbasis, psatz
 from ncrat.gnsbasis import (
     EvalInnerProduct,
     SamplingError,
@@ -16,27 +16,27 @@ from ncrat.gnsbasis import (
     sample_points,
 )
 from ncrat.numkernel import RANK_TOL, hermitian_eig, random_tuple
-from ncrat.realization import eval_expr
+from ncrat.realization import eval_expr, eval_exprs
 
 
 def _ref_words(R, level):
-    """Every product of at most `level` elements of R, deduped by node, with
-    its index tuple, by increasing length: the full enumeration the sweep
-    replaces, kept as its reference."""
+    """Every product of at most `level` elements of R, deduped by node, by
+    increasing length: the full enumeration the sweep replaces, kept as its
+    reference."""
     one = R.exprs[0]
     seen = {one}
-    words = [(one, ())]
-    frontier = [((), one)]
+    words = [one]
+    frontier = [one]
     for _ in range(level):
         nxt = []
-        for idx, w in frontier:
-            for j in range(1, len(R.exprs)):
-                prod = ex.mul(w, R.exprs[j]) if idx else R.exprs[j]
+        for w in frontier:
+            for q in R.exprs[1:]:
+                prod = q if w is one else ex.mul(w, q)
                 if prod in seen:
                     continue
                 seen.add(prod)
-                words.append((prod, idx + (j,)))
-                nxt.append((idx + (j,), prod))
+                words.append(prod)
+                nxt.append(prod)
         frontier = nxt
     return words
 
@@ -143,7 +143,8 @@ class TestSamplePoints:
         assert len(pts) == 4 and calls == []
         # the tables hold the same values as element-by-element evaluation
         for t in pts:
-            for q, val in zip(R.exprs, t.rvals):
+            assert all(q in t.memo for q in R.exprs)
+            for q, val in zip(R.exprs, t.values(R.exprs)):
                 assert np.array_equal(val, eval_expr(q, t.X))
 
 
@@ -222,11 +223,20 @@ TABLE_CASES = ["inv(2-x1)", "x1*inv(3-x1)*inv(3-x1)", "inv(1+x1*x2)"]
 class TestEvalTable:
     @pytest.mark.parametrize("text", TABLE_CASES)
     def test_words_bit_for_bit(self, text, rng):
-        R = build_R(ex.parse(text))
-        tables = sample_points(R, [1, 2, 3], rng, per_size=1)
-        for w, idx in _ref_words(R, 3):
-            for t in tables:
-                assert np.array_equal(t.word(idx), eval_expr(w, t.X)), ex.to_str(w)
+        # values read from a table's memo, the words of V_3, the basis words
+        # and the sup, inf and validation targets, are those of a fresh walk
+        r = ex.parse(text)
+        R = build_R(r)
+        targets = [ex.neg(r), r, ex.sub(ex.scalar(0.25), r)]
+        words = _ref_words(R, 3) + targets
+        for t in sample_points(R, [1, 2, 3], rng, per_size=1):
+            for w, val in zip(words, t.values(words)):
+                assert np.array_equal(val, eval_expr(w, t.X)), ex.to_str(w)
+        basis = build_basis(R, 2, seed=0)
+        words = list(basis.exprs) + targets
+        for t in basis.tables:
+            for w, val in zip(words, t.values(words)):
+                assert np.array_equal(val, eval_expr(w, t.X)), ex.to_str(w)
 
     # level 2 of the larger R would make the tree-evaluating reference slow
     @pytest.mark.parametrize("text, level", zip(TABLE_CASES, (2, 1, 1)))
@@ -241,24 +251,41 @@ class TestEvalTable:
         assert np.array_equal(basis.gram, ref)
 
     def test_words_not_evaluated_one_by_one(self, monkeypatch):
-        # evaluations happen at admission only, one pass over R per sample
-        # drawn, however many words V_5 has
-        calls = {"eval": 0, "evals": 0, "tuple": 0}
+        # no node is evaluated twice at one table: not by the sweeps of
+        # build_basis, and not by the psatz row assembly, which reads the
+        # words and the target from the same memos
+        twice, tables = [], []
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        class Memo(dict):
+            def __setitem__(self, node, val):
+                if node in self:
+                    twice.append(ex.to_str(node))
+                super().__setitem__(node, val)
 
-        monkeypatch.setattr(gnsbasis, "eval_expr", counted("eval", gnsbasis.eval_expr))
-        monkeypatch.setattr(gnsbasis, "eval_exprs", counted("evals", gnsbasis.eval_exprs))
-        monkeypatch.setattr(gnsbasis, "random_tuple",
-                            counted("tuple", gnsbasis.random_tuple))
-        R = build_R(ex.parse("inv(2-x1)", d=1))
-        build_basis(R, 5, seed=0)
-        assert calls["eval"] == 0
-        assert 0 < calls["evals"] <= calls["tuple"]
+        class Table(gnsbasis.EvalTable):
+            def __init__(self, X, tol):
+                super().__init__(X, tol, Memo())
+                tables.append(self)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eval_expr(*args, **kwargs)
+
+        monkeypatch.setattr(gnsbasis, "EvalTable", Table)
+        monkeypatch.setattr(gnsbasis, "eval_expr", counted)
+        r = ex.parse("inv(2-x1)", d=1)
+        R = build_R(r)
+        basis = build_basis(R, 5, seed=0)
+        assert all(len(t.memo) > len(R) for t in basis.tables)
+        _, L, _, basis, rows_tables, _ = psatz._setup(r, None, 2, 0)
+        filled = [len(t.memo) for t in rows_tables]
+        psatz._assemble_rows(basis, L, rows_tables, -1.0, ex.neg(r))
+        # (-1)*r is the one node the rows add: r and -1, which 2-x1 holds,
+        # were evaluated at admission
+        assert [len(t.memo) for t in rows_tables] == [k + 1 for k in filled]
+        assert tables and calls == [] and twice == []
 
 
 # level 3 of inv(1+x1*x2) is left out for run time: the reference
@@ -275,13 +302,13 @@ class TestSweep:
         R = build_R(ex.parse(text))
         basis = build_basis(R, level, seed=seed)
         words = _ref_words(R, level)
-        M = np.array([np.concatenate([t.word(idx).ravel() for t in basis.tables])
-                      for _, idx in words])
-        ref = tuple(words[j][1] for j in _ref_greedy_select(M.T))
-        node = {idx: w for w, idx in words}
-        assert basis.exprs == tuple(node[idx] for idx in basis.indices)
+        vals = [eval_exprs(words, t.X) for t in basis.tables]
+        M = np.array([np.concatenate([v[k].ravel() for v in vals])
+                      for k in range(len(words))])
+        ref = tuple(words[j] for j in _ref_greedy_select(M.T))
+        assert set(basis.exprs) <= set(words)
         if (text, level, seed) != ("x1*inv(3-x1)*inv(3-x1)", 3, 2):
-            assert basis.indices == ref
+            assert basis.exprs == ref
             return
         # the reference's keep threshold is relative to the largest of all
         # 368 words, which the sweep never forms: it keeps 6 words here, the

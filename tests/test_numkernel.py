@@ -81,6 +81,13 @@ class TestIsHermitian:
         assert is_hermitian(A, 0.5)
         assert not is_hermitian(A, 0.49)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN deviation never exceeds the bound; finiteness is tested first
+        assert not is_hermitian(np.array([[1.0, bad], [0.0, 1.0]]))
+        assert not is_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+        assert not is_hermitian(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestKron:
     def test_mixed_product(self, rng):
@@ -125,6 +132,16 @@ class TestMatrixTuple:
             MatrixTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),), hermitian=True)
         with pytest.raises(ValueError):
             MatrixTuple((np.ones((2, 3)),), hermitian=True)
+
+    def test_hermitian_flag_is_relative_and_finite(self):
+        # the flag is checked by is_hermitian: relative to the largest entry,
+        # and a NaN or inf entry fails
+        A = np.array([[1e6, 1e6], [1e6 * (1 + 3e-13), 0.0]])
+        assert is_hermitian(A)
+        assert MatrixTuple((A,), hermitian=True).hermitian
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                MatrixTuple((np.array([[1.0, bad], [0.0, 1.0]]),), hermitian=True)
 
     def test_shape_consistency(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from ncrat import expr as ex
 from ncrat import gnsbasis, psatz
 from ncrat.cli import _load_pencil
 from ncrat.gnsbasis import build_R, build_basis, independent_words
-from ncrat.numkernel import matrix_to_json, random_tuple
+from ncrat.numkernel import MatrixTuple, matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil, affine_eval
 from ncrat.realization import eval_expr
 from ncrat.psatz import (
@@ -173,8 +172,10 @@ class TestSetup:
     def test_more_words_than_coordinates(self):
         # three words evaluated at one 1 x 1 sample: the 1 x 3 evaluation
         # matrix has full row rank but cannot be injective
-        words = [(None, (k,)) for k in range(3)]
-        table = SimpleNamespace(word=lambda idx: np.array([[idx[0] + 1.0]]))
+        x1 = ex.var(1)
+        words = [ex.scalar(1), x1, ex.mul(x1, x1)]
+        X = MatrixTuple((np.array([[0.5]]),), hermitian=True)
+        table = gnsbasis.EvalTable(X, 1e-9)
         assert not psatz._separates(words, [table], 1e-9)
         assert psatz._separates(words[:1], [table], 1e-9)
 
@@ -192,14 +193,15 @@ class TestSetup:
 
 def _ref_rows(basis, L, tables, mu_sign, target):
     """The equality rows built one (s, t) entry at a time, as lists of
-    (H coefficient, G coefficient, free part, rhs): the loop that the stacked
-    assembly replaces, kept as its reference."""
+    (H coefficient, G coefficient, free part, rhs), from values of a fresh
+    walk: the loop that the stacked assembly replaces, kept as its
+    reference."""
     N = basis.dim
     rows = ([], [], [], [])
     for table in tables:
         X = table.X
         n = X.rows
-        W = [table.word(idx) for idx in basis.indices]
+        W = [eval_expr(w, X) for w in basis.exprs]
         tgt = eval_expr(target, X)
         if L is not None:
             e = L.size
@@ -280,6 +282,32 @@ class TestRows:
         monkeypatch.setattr(psatz, "_prune_rows", spy)
         certify_qm(ex.parse("x1*x1", d=1), level=1, seed=0, tol=1e-6)
         assert cuts == [(1e-6,)]
+
+    def test_tol_reaches_sample_admission(self, monkeypatch):
+        # the hermitian check, the SDP samples and the held-out samples all
+        # decide singular inverses at tol
+        tols = []
+
+        def spy(name, fn):
+            def wrapper(roots, X, tol=psatz.RANK_TOL, *args):
+                tols.append((name, tol))
+                return fn(roots, X, tol, *args)
+            return wrapper
+
+        monkeypatch.setattr(psatz, "eval_expr", spy("check", psatz.eval_expr))
+        monkeypatch.setattr(gnsbasis, "eval_exprs", spy("table", gnsbasis.eval_exprs))
+        validate, held = psatz._validate, []
+
+        def validated(*args):
+            held.append(len(tols))
+            return validate(*args)
+
+        monkeypatch.setattr(psatz, "_validate", validated)
+        r = ex.parse("inv(2-x1)", d=1)
+        assert certify_qm(r, INTERVAL, level=1, seed=0, tol=1e-6) is not None
+        assert held and len(tols) > held[0]
+        assert {name for name, _ in tols} == {"check", "table"}
+        assert all(tol == 1e-6 for _, tol in tols)
 
 
 def _level3_sup_rows(text, monkeypatch):

@@ -416,6 +416,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             _con([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_constraint_rejected(self, bad):
+        with pytest.raises(ValueError, match="not hermitian"):
+            SDPConstraint((np.array([[1.0, bad], [0.0, 1.0]]),), np.zeros(0), 1.0)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             _simple([np.eye(2)], (_con([np.eye(1)], rhs=1.0),), dims=(2,))
