@@ -351,7 +351,7 @@ def _cmd_certify(args, report) -> int:
     L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
     cert = certify_qm(r, L, level=args.level, seed=args.seed, d=args.d, tol=args.tol)
     if cert is None:
-        witness = find_violation(r, L, seed=args.seed, d=args.d)
+        witness = find_violation(r, L, seed=args.seed, d=args.d, tol=args.tol)
         _emit({
             "certified": False,
             "level": args.level,

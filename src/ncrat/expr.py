@@ -2,15 +2,17 @@
 
 An expression is an ordered rooted tree over complex scalars, variables
 ``x1..xd``, binary ``+`` and ``*``, and unary inverse, stored as a DAG of
-hash-consed nodes: equal subtrees are one object, and the printer, the
-involution, the complexity measure and `subexpressions` visit each distinct
-node once, by one iterative postorder walk.  The adjoint is not a node kind:
+hash-consed nodes: structurally equal subtrees are one object, so nodes
+compare and hash by identity (a scalar's -0.0 parts are folded to 0.0).  The
+printer, the involution and the complexity measure visit each distinct node
+once, by one iterative `postorder` walk.  The adjoint is not a node kind:
 ``adj(e)`` in the surface syntax is eagerly pushed to the leaves (products
 reversed, scalars conjugated, variables fixed).
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 import struct
 import weakref
@@ -30,7 +32,6 @@ __all__ = [
     "neg",
     "involution",
     "postorder",
-    "subexpressions",
     "variables_used",
     "tau",
     "parse",
@@ -48,12 +49,12 @@ class Expr:
     """Immutable node of a formal rational expression DAG.
 
     Nodes are hash-consed: `_node` returns the live node with the same kind,
-    children (by identity), scalar value (by bit pattern) and index, so equal
-    subtrees built in one process are one object.  ``==`` is structural; the
-    hash is computed once, from the children's, and agrees with it.
+    children (by identity), scalar value (by bit pattern, signed zeros
+    folded) and index, so structurally equal expressions built in one process
+    are one object.  Equality and the hash are those of identity.
     """
 
-    __slots__ = ("kind", "children", "value", "index", "_hash", "__weakref__")
+    __slots__ = ("kind", "children", "value", "index", "__weakref__")
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("build nodes with scalar, var, add, mul and inv")
@@ -63,28 +64,6 @@ class Expr:
 
     def __reduce__(self):
         return _node, (self.kind, self.children, self.value, self.index)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        # iterative, and each pair of distinct nodes is compared once
-        done = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in done:
-                continue
-            if (a._hash != b._hash or a.kind != b.kind or a.index != b.index
-                    or a.value != b.value):
-                return False
-            done.add((id(a), id(b)))
-            stack.extend(zip(a.children, b.children))
-        return True
 
     def __repr__(self):
         return f"Expr({to_str(self)!r})"
@@ -99,13 +78,14 @@ _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _node(kind: str, children: tuple[Expr, ...] = (), value: complex = 0j,
           index: int = 0) -> Expr:
-    """The one node factory.  Scalars are keyed by the bits of their value,
-    so 0.0 and -0.0, or NaNs with different bits, are never merged, and a
-    node's value does not depend on what the process built before."""
+    """The one node factory.  Scalars are keyed by the bits of their value
+    after -0.0 is folded to 0.0, so a node's value does not depend on what
+    the process built before, and NaNs with different bits are not merged."""
     if kind == SCALAR:
+        value = complex(value.real + 0.0, value.imag + 0.0)
         key = (kind, struct.pack("<dd", value.real, value.imag))
     else:
-        key = (kind, index, *map(id, children))
+        key = (kind, index, children)
     node = _NODES.get(key)
     if node is None:
         node = object.__new__(Expr)
@@ -114,7 +94,6 @@ def _node(kind: str, children: tuple[Expr, ...] = (), value: complex = 0j,
         setattr_(node, "children", children)
         setattr_(node, "value", value)
         setattr_(node, "index", index)
-        setattr_(node, "_hash", hash((kind, value, index, *(c._hash for c in children))))
         _NODES[key] = node
     return node
 
@@ -159,50 +138,45 @@ def neg(a: Expr) -> Expr:
 def involution(r: Expr) -> Expr:
     """Adjoint: transpose the tree left to right and conjugate scalars.
     Iterative, visiting each distinct node once."""
-    adj: dict[int, Expr] = {}
+    adj: dict[Expr, Expr] = {}
     for e in postorder(r):
         if e.kind == SCALAR:
             out = scalar(e.value.conjugate())
         elif e.kind == VAR:
             out = e
         elif e.kind == ADD:
-            out = add(*(adj[id(c)] for c in e.children))
+            out = add(*(adj[c] for c in e.children))
         elif e.kind == MUL:
             a, b = e.children
-            # scalars commute; keeping them in place makes s* structurally
-            # equal to s for hermitian s built with scalar coefficients
+            # scalars commute; keeping them in place makes s* the node s for
+            # hermitian s built with real scalar coefficients
             if a.kind == SCALAR or b.kind == SCALAR:
-                out = mul(adj[id(a)], adj[id(b)])
+                out = mul(adj[a], adj[b])
             else:
-                out = mul(adj[id(b)], adj[id(a)])
+                out = mul(adj[b], adj[a])
         else:
-            out = _node(INV, (adj[id(e.children[0])],))
-        adj[id(e)] = out
-    return adj[id(r)]
+            out = _node(INV, (adj[e.children[0]],))
+        adj[e] = out
+    return adj[r]
 
 
 def postorder(*roots: Expr, skip=()) -> list[Expr]:
-    """Every distinct node (by identity) under the roots, once, children
-    before parents, in the order a left-to-right recursive walk of the
-    expanded trees first finishes them.  Iterative, so depth is unbounded.
-    Nodes in `skip`, and nodes reached only through them, are left out."""
-    seen: set[int] = set()
+    """Every distinct node under the roots, once, children before parents,
+    in the order a left-to-right recursive walk of the expanded trees first
+    finishes them.  Iterative, so depth is unbounded.  Nodes in `skip`, and
+    nodes reached only through them, are left out."""
+    seen: set[Expr] = set()
     out: list[Expr] = []
     stack = [(r, False) for r in reversed(roots)]
     while stack:
         e, expanded = stack.pop()
         if expanded:
             out.append(e)
-        elif id(e) not in seen and e not in skip:
-            seen.add(id(e))
+        elif e not in seen and e not in skip:
+            seen.add(e)
             stack.append((e, True))
             stack.extend((c, False) for c in reversed(e.children))
     return out
-
-
-def subexpressions(r: Expr) -> list[Expr]:
-    """All distinct subtrees of r (postorder, structurally deduplicated)."""
-    return list(dict.fromkeys(postorder(r)))
 
 
 def variables_used(r: Expr) -> set[int]:
@@ -211,20 +185,20 @@ def variables_used(r: Expr) -> set[int]:
 
 def tau(r: Expr) -> int:
     """Tree-recursive complexity: additive on products, doubled by inverses."""
-    t: dict[int, int] = {}
+    t: dict[Expr, int] = {}
     for e in postorder(r):
-        c = [t[id(q)] for q in e.children]
+        c = [t[q] for q in e.children]
         if e.kind == SCALAR:
-            t[id(e)] = 0
+            t[e] = 0
         elif e.kind == VAR:
-            t[id(e)] = 1
+            t[e] = 1
         elif e.kind == ADD:
-            t[id(e)] = max(c)
+            t[e] = max(c)
         elif e.kind == MUL:
-            t[id(e)] = c[0] + c[1]
+            t[e] = c[0] + c[1]
         else:
-            t[id(e)] = 2 * c[0]
-    return t[id(r)]
+            t[e] = 2 * c[0]
+    return t[r]
 
 
 @dataclass(frozen=True)
@@ -292,19 +266,21 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        start = self.pos
         e = self.term()
         while True:
             c = self.peek()
             if c == "+":
                 self.pos += 1
-                e = add(e, self.term())
+                e = self._finite(add(e, self.term()), start)
             elif c == "-":
                 self.pos += 1
-                e = sub(e, self.term())
+                e = self._finite(sub(e, self.term()), start)
             else:
                 return e
 
     def term(self) -> Expr:
+        start = self.pos
         negated = False
         if self.peek() == "-":
             self.pos += 1
@@ -312,16 +288,17 @@ class _Parser:
         e = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            e = mul(e, self.factor())
+            e = self._finite(mul(e, self.factor()), start)
         return neg(e) if negated else e
 
     def factor(self) -> Expr:
         self.skip_ws()
+        start = self.pos
         if self.text.startswith("inv(", self.pos):
             self.pos += 4
             e = self.expr()
             self.expect(")")
-            return inv(e)
+            return self._finite(inv(e), start)
         if self.text.startswith("adj(", self.pos):
             self.pos += 4
             e = self.expr()
@@ -350,7 +327,7 @@ class _Parser:
                 return add(var(j), mul(scalar(1j), var(self.d + j)))
             return var(j)
         if c.isdigit() or c == ".":
-            return scalar(self._number())
+            return self._finite(scalar(self._number()), start)
         raise ParseError("expected atom", self.pos)
 
     def _integer(self, what: str) -> int:
@@ -380,13 +357,20 @@ class _Parser:
         except ValueError:
             raise ParseError("malformed number", start) from None
 
+    def _finite(self, e: Expr, start: int) -> Expr:
+        """e, unless it is a numeral or a folded constant that is not finite."""
+        if e.kind == SCALAR and not cmath.isfinite(e.value):
+            raise ParseError("constant is not finite", start)
+        return e
+
 
 def parse(text: str, d: int | None = None, split_adjoint: bool = False) -> Expr:
     """Parse an expression over variables x1..xd (d inferred when omitted).
 
     With ``split_adjoint`` each variable is replaced by ``x_j + i*x_{d+j}``
     over 2d hermitian variables, so that ``adj()`` acts as the formal adjoint
-    of a non-hermitian variable.
+    of a non-hermitian variable.  A numeral, or a constant folded from
+    numerals, that is not finite is a ParseError.
     """
     if d is None:
         found = re.findall(r"x(\d+)", text)
@@ -420,18 +404,18 @@ def _fmt_scalar(z: complex) -> str:
 
 
 def to_str(r: Expr) -> str:
-    """Print r so that parse(to_str(r)) is structurally identical to r.
+    """Print r so that parse(to_str(r)) is r.
 
     A node's text is kept until the last text made from it is printed, so a
     long sum chain does not hold every partial sum's text at once.
     """
     order = postorder(r)
-    ops = {id(e): _operands(e) for e in order}
-    uses = Counter(id(q) for e in order for q in ops[id(e)])
-    s: dict[int, str] = {}
+    ops = {e: _operands(e) for e in order}
+    uses = Counter(q for e in order for q in ops[e])
+    s: dict[Expr, str] = {}
 
     def paren_if(e: Expr, kinds: tuple[str, ...]) -> str:
-        return f"({s[id(e)]})" if e.kind in kinds else s[id(e)]
+        return f"({s[e]})" if e.kind in kinds else s[e]
 
     for e in order:
         if e.kind == SCALAR:
@@ -439,21 +423,21 @@ def to_str(r: Expr) -> str:
         elif e.kind == VAR:
             out = f"x{e.index}"
         elif e.kind == INV:
-            out = f"inv({s[id(e.children[0])]})"
+            out = f"inv({s[e.children[0]]})"
         elif e.kind == ADD:
-            a, b = ops[id(e)]
+            a, b = ops[e]
             # a + (-1)*c prints as subtraction a-c
             op = "+" if b is e.children[1] else "-"
-            out = f"{s[id(a)]}{op}{paren_if(b, (ADD,))}"
+            out = f"{s[a]}{op}{paren_if(b, (ADD,))}"
         else:
             a, b = e.children
             out = f"{paren_if(a, (ADD,))}*{paren_if(b, (ADD, MUL))}"
-        s[id(e)] = out
-        for q in ops[id(e)]:
-            uses[id(q)] -= 1
-            if not uses[id(q)]:
-                del s[id(q)]
-    return s[id(r)]
+        s[e] = out
+        for q in ops[e]:
+            uses[q] -= 1
+            if not uses[q]:
+                del s[q]
+    return s[r]
 
 
 def _operands(e: Expr) -> tuple[Expr, ...]:

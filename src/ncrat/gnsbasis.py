@@ -50,6 +50,7 @@ __all__ = [
 NORM_CAP = 1e6
 PER_SIZE = 3  # sample tuples drawn per size
 MAX_SIZE = 6  # largest sample size drawn
+TRIAL_BUDGET = 200  # random tuples tried per size before giving up
 
 
 class SamplingError(RuntimeError):
@@ -96,7 +97,7 @@ def build_R(r: Expr) -> SubexprSet:
     """Collect {1} and the non-scalar subexpressions of r and r*.
 
     The result is closed under the involution and lists expressions in a
-    deterministic order: 1 first, then postorder of r, then new ones from r*.
+    deterministic order: 1 first, then `postorder(r, r*)`.
     """
     def strip(q: Expr) -> Expr:
         # scalar multiples span nothing new; drop them for a leaner R
@@ -111,11 +112,10 @@ def build_R(r: Expr) -> SubexprSet:
         return q
 
     out = {ex.scalar(1): None}
-    for root in (r, ex.involution(r)):
-        for q in ex.subexpressions(root):
-            q = strip(q)
-            if q.kind != ex.SCALAR:
-                out.setdefault(q)
+    for q in ex.postorder(r, ex.involution(r)):
+        q = strip(q)
+        if q.kind != ex.SCALAR:
+            out.setdefault(q)
     return SubexprSet(r, tuple(out))
 
 
@@ -186,8 +186,8 @@ def _admits(R: SubexprSet, X: MatrixTuple, tol: float, cap: float = NORM_CAP):
     return table, None
 
 
-def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
-                  trial_budget: int = 200, d: int | None = None,
+def sample_points(R: SubexprSet, sizes, rng, per_size: int = PER_SIZE,
+                  d: int | None = None,
                   tol: float = RANK_TOL) -> list[EvalTable]:
     """Hermitian tuples of the given sizes in the common domain of R, found by
     rejection sampling, each with its evaluation table."""
@@ -197,7 +197,7 @@ def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
     for n in sizes:
         got = 0
         blocking = None
-        for _ in range(trial_budget):
+        for _ in range(TRIAL_BUDGET):
             X = random_tuple(d, n, n, mode="hermitian", rng=rng)
             table, blk = _admits(R, X, tol)
             if table is not None:
@@ -208,7 +208,7 @@ def sample_points(R: SubexprSet, sizes, rng, per_size: int = 3,
             else:
                 blocking = blk
         if got == 0:
-            raise SamplingError(blocking, n, trial_budget)
+            raise SamplingError(blocking, n, TRIAL_BUDGET)
     return out
 
 

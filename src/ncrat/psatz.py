@@ -44,6 +44,7 @@ from .numkernel import (
 from .pencil import HomogeneousPencil, affine_eval
 from .realization import DomainError, eval_expr
 from .gnsbasis import (
+    PER_SIZE,
     EvalTable,
     FunctionBasis,
     SampleStream,
@@ -285,7 +286,7 @@ def _validate(basis, L, H, G, target: Expr, R: SubexprSet, d: int, seed,
     from a stream independent of the one that chose the SDP samples."""
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=0xC0FFEE if seed is None else seed).spawn(2)[1])
-    held = sample_points(R, [1, 2, 3], rng, per_size=3, d=d, tol=tol)
+    held = sample_points(R, [1, 2, 3], rng, per_size=PER_SIZE, d=d, tol=tol)
     worst = 0.0
     for table in held:
         want, = table.values((target,))
@@ -420,9 +421,10 @@ def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
 def find_violation(r: Expr, L: HomogeneousPencil | None = None,
                    budget: int = 200, max_size: int = 4, seed=0,
                    d: int | None = None,
-                   tol: float = 1e-9) -> MatrixTuple | None:
+                   tol: float = RANK_TOL) -> MatrixTuple | None:
     """Random search for X in the spectrahedron of the monic LMI
-    L = (I, H1..Hk) with r(X) not PSD.
+    L = (I, H1..Hk) with r(X) not PSD: the smallest eigenvalue of its
+    hermitian part below -1e-9.  X must be in r's domain at tol.
 
     Returns the first witness found, or None (inconclusive) on budget
     exhaustion.
@@ -437,10 +439,10 @@ def find_violation(r: Expr, L: HomogeneousPencil | None = None,
             if np.linalg.eigvalsh((LX + LX.conj().T) / 2)[0] < -1e-12:
                 continue
         try:
-            val = eval_expr(r, X)
+            val = eval_expr(r, X, tol)
         except DomainError:
             continue
-        if np.linalg.eigvalsh((val + val.conj().T) / 2)[0] < -tol:
+        if np.linalg.eigvalsh((val + val.conj().T) / 2)[0] < -1e-9:
             return X
     return None
 

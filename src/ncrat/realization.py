@@ -78,11 +78,11 @@ def build_realization(r: Expr, d: int | None = None) -> Realization:
     """
     if d is None:
         d = max(ex.variables_used(r), default=0)
-    size: dict[int, int] = {}
+    size: dict[Expr, int] = {}
     for e in ex.postorder(r):
-        size[id(e)] = (1 if e.kind == ex.SCALAR else 2 if e.kind == ex.VAR
-                       else sum(size[id(c)] for c in e.children) + (e.kind == ex.INV))
-    E = size[id(r)]
+        size[e] = (1 if e.kind == ex.SCALAR else 2 if e.kind == ex.VAR
+                   else sum(size[c] for c in e.children) + (e.kind == ex.INV))
+    E = size[r]
     C = np.zeros((d + 1, E, E), dtype=complex)
     u = np.zeros(E, dtype=complex)
     v = np.zeros(E, dtype=complex)
@@ -93,7 +93,7 @@ def build_realization(r: Expr, d: int | None = None) -> Realization:
         order.append((e, o))
         for c in e.children:
             stack.append((c, o))
-            o += size[id(c)]
+            o += size[c]
     # a sum needs nothing beyond its children's blocks, u and v
     for e, o in reversed(order):
         if e.kind == ex.SCALAR:
@@ -104,12 +104,12 @@ def build_realization(r: Expr, d: int | None = None) -> Realization:
             C[e.index, o, o + 1] = -1
             u[o], v[o + 1] = 1, 1
         elif e.kind == ex.MUL:
-            e1, end = size[id(e.children[0])], o + size[id(e)]
+            e1, end = size[e.children[0]], o + size[e]
             C[0, o:o + e1, o + e1:end] -= np.outer(v[o:o + e1], u[o + e1:end].conj())
             u[o + e1:end] = 0
             v[o:o + e1] = 0
         elif e.kind == ex.INV:
-            e1 = size[id(e.children[0])]
+            e1 = size[e.children[0]]
             C[0, o:o + e1, o + e1] = v[o:o + e1]
             C[0, o + e1, o:o + e1] = u[o:o + e1].conj()
             u[o:o + e1] = v[o:o + e1] = 0

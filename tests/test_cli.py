@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncrat import domainrep
+from ncrat import cli, domainrep, psatz
 from ncrat.cli import EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ncrat.numkernel import MatrixTuple, full_rank, matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil
@@ -156,6 +156,13 @@ class TestExitCodes:
         assert out == ""
         assert "expression error: expression nested too deeply" in err
 
+    @pytest.mark.parametrize("cmd", ["realize", "widen"])
+    def test_non_finite_constant_usage(self, capsys, cmd):
+        code, out, err = _run(capsys, [cmd, "x1+1e999"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "expression error: constant is not finite" in err
+
     @pytest.mark.parametrize("argv", [["certify"], ["optimize", "--inf"]])
     def test_tol_reaches_psatz(self, capsys, argv):
         # with no rank tolerance, dependent words of x1*x1 enter the basis,
@@ -174,6 +181,19 @@ class TestExitCodes:
         code, _, _ = _run(capsys, ["widen", "inv(x1)", "--tol", "1e-6"])
         assert code == EXIT_OK
         assert tols and set(tols) == {1e-6}
+
+    def test_tol_reaches_find_violation(self, capsys, monkeypatch):
+        # the witness search decides the domain of r at --tol, as certify does
+        tols, entered = [], []
+        evaluate, search = psatz.eval_expr, cli.find_violation
+        monkeypatch.setattr(psatz, "eval_expr", lambda r, X, tol=psatz.RANK_TOL:
+                            tols.append(tol) or evaluate(r, X, tol))
+        monkeypatch.setattr(cli, "find_violation", lambda *args, **kwargs:
+                            entered.append(len(tols)) or search(*args, **kwargs))
+        code, out, _ = _run(capsys, ["certify", "x1", "--seed", "0", "--tol", "1e-6"])
+        assert code == EXIT_NEGATIVE and json.loads(out)["witness"] is not None
+        assert entered and len(tols) > entered[0]
+        assert set(tols) == {1e-6}
 
     def test_affine_pencil_to_extend_side_usage(self, capsys, fixtures):
         code, _, _ = _run(capsys, ["extend", "side", "--pencil", fixtures["affine.json"],

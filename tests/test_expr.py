@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncrat import expr as ex
 from ncrat.numkernel import MatrixTuple, random_tuple
-from ncrat.realization import eval_expr
+from ncrat.realization import eval_expr, eval_exprs
 
 from conftest import random_expr
 
@@ -64,12 +64,21 @@ class TestHashConsing:
         assert ex.parse("x1 * inv(2 - x2)", d=2) is a
         assert ex.mul(ex.var(1), ex.inv(ex.sub(ex.scalar(2), ex.var(2)))) is a
 
-    def test_signed_zeros_not_merged(self):
-        assert ex.scalar(0.0) is not ex.scalar(-0.0)
-        # structural equality and the hash are unchanged
-        assert ex.scalar(0.0) == ex.scalar(-0.0)
-        assert hash(ex.scalar(0.0)) == hash(ex.scalar(-0.0))
-        assert np.signbit(ex.scalar(-0.0).value.real)
+    def test_signed_zeros_folded(self):
+        z = ex.scalar(-0.0)
+        assert z is ex.scalar(0.0) and ex.scalar(complex(-0.0, -0.0)) is z
+        assert not np.signbit(z.value.real) and not np.signbit(z.value.imag)
+
+    def test_equality_is_identity(self):
+        assert ex.Expr.__eq__ is object.__eq__
+        assert ex.Expr.__hash__ is object.__hash__
+
+    def test_memo_over_folded_zeros(self):
+        # a node-keyed memo cannot give 0.0 the value of -0.0, or the reverse
+        X = MatrixTuple((np.array([[0.5]]),), hermitian=True)
+        vals = eval_exprs([ex.scalar(0.0), ex.scalar(-0.0)], X)
+        assert len(vals) == 2
+        assert not any(np.signbit(v.real).any() or np.signbit(v.imag).any() for v in vals)
 
     def test_nodes_immutable_and_factory_only(self):
         e = ex.var(1)
@@ -91,7 +100,7 @@ class TestHashConsing:
         assert ex.parse(ex.to_str(r), d=1) is r
         assert ex.tau(r) == 1
         assert ex.variables_used(r) == {1}
-        assert len(ex.subexpressions(r)) == 5000
+        assert len(ex.postorder(r)) == 5000
 
     def test_first_singular_inverse_in_tree_order(self):
         from ncrat.realization import DomainError
@@ -102,13 +111,12 @@ class TestHashConsing:
         assert err.value.subexpr is ex.inv(ex.var(3))
 
     def test_deep_structural_equality(self):
-        # equal but distinct trees, differing in the sign bit of a zero leaf
+        # chains from a 0.0 and a -0.0 leaf are structurally equal: one node
         r0, r1 = ex.scalar(0.0), ex.scalar(-0.0)
         for _ in range(5000):
             r0, r1 = ex.add(r0, ex.var(1)), ex.add(r1, ex.var(1))
-        assert r0 is not r1
-        assert r0 == r1 and hash(r0) == hash(r1)
-        assert r0 != ex.add(r1, ex.var(1))
+        assert r0 is r1
+        assert ex.add(r1, ex.var(1)) is not r0
 
 
 class TestTau:
@@ -165,6 +173,11 @@ class TestInvolution:
         r = ex.parse("+".join(["x1"] * 5000), d=1)
         assert ex.involution(r) is r
 
+    def test_hermitian_with_real_coefficients_is_its_adjoint(self):
+        # conjugating a real scalar gives -0.0 imaginary parts, folded away
+        r = ex.parse("2*x1+inv(3-x1*x1)-0.5", d=1)
+        assert ex.involution(r) is r
+
     @given(exprs())
     @settings(max_examples=60, deadline=None)
     def test_involution_involutive(self, e):
@@ -193,7 +206,7 @@ class TestInvolution:
 class TestSubexpressions:
     def test_postorder_dedup(self):
         e = ex.mul(ex.var(1), ex.var(1))
-        subs = ex.subexpressions(e)
+        subs = ex.postorder(e)
         assert subs.count(ex.var(1)) == 1
         assert subs[-1] == e
 
@@ -202,8 +215,8 @@ class TestSubexpressions:
         p = ex.mul(ex.var(2), s)
         e = ex.add(p, s)
         # left to right, children first, each node where a walk first ends it
-        assert ex.subexpressions(e) == [ex.var(2), ex.var(1), s, p, e]
-        assert ex.postorder(e, s) == ex.subexpressions(e)
+        assert ex.postorder(e) == [ex.var(2), ex.var(1), s, p, e]
+        assert ex.postorder(e, s) == ex.postorder(e)
         assert ex.postorder(s, e) == [ex.var(1), s, ex.var(2), p, e]
 
     def test_variables_used(self):
@@ -251,6 +264,14 @@ class TestParsePrint:
                              ids=["parens", "inv"])
     def test_deep_nesting_is_a_parse_error(self, text):
         with pytest.raises(ex.ParseError, match="nested too deeply"):
+            ex.parse(text, d=1)
+
+    @pytest.mark.parametrize("text", ["1e999", "x1+1e999", "x1+1e999-1e999",
+                                      "1e999+x1*x1", "1e308*10", "1e308*10*0+x1",
+                                      "inv(1e-320)*x1", "(1e200*i)*(1e200*i)*x1"])
+    def test_non_finite_constant(self, text):
+        # a numeral or a folded constant that overflows
+        with pytest.raises(ex.ParseError, match="constant is not finite"):
             ex.parse(text, d=1)
 
     def test_index_out_of_range(self):
