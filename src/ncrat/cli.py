@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -59,14 +58,6 @@ _NUMERIC_ERRORS = (
     NotInvertibleError,
     np.linalg.LinAlgError,
 )
-
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
-
-
-def _env_float(name: str, default: float) -> float:
-    return float(os.environ.get(name, default))
 
 
 def _emit(obj) -> None:
@@ -131,23 +122,28 @@ def _load_pencil(path: str, *keys: str) -> tuple[HomogeneousPencil, dict]:
     return HomogeneousPencil(tuple(mats)), obj
 
 
-def _add_common(sp, level_default: int | None = None):
-    sp.add_argument("--seed", type=int, default=_env_int("NCRAT_SEED", 0),
-                    help="RNG seed (default 0, env NCRAT_SEED)")
-    sp.add_argument("--tol", type=float, default=_env_float("NCRAT_TOL", RANK_TOL),
-                    help="rank/singularity tolerance (default 1e-9, env NCRAT_TOL)")
-    if level_default is not None:
-        sp.add_argument("--level", type=int,
-                        default=_env_int("NCRAT_LEVEL", level_default),
-                        help="hierarchy level (env NCRAT_LEVEL)")
-    sp.add_argument("--d", type=int, default=None,
-                    help="number of variables (default: inferred)")
-    sp.add_argument("--report", default=None,
-                    help="write the human-readable report to this file")
-    sp.add_argument("--split-adjoint", choices=["auto", "yes", "no"],
-                    default="auto",
-                    help="map x_j to a_j + i*b_j over hermitian pairs when the "
-                         "expression uses adj() on variables")
+# options shared by several subcommands; each subcommand declares those its
+# handler reads, and main reads --report for all of them
+_OPTIONS = {
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "tol": dict(type=float, default=RANK_TOL,
+                help="rank/singularity tolerance (default 1e-9)"),
+    "level": dict(type=int, default=1, help="hierarchy level (default 1)"),
+    "d": dict(type=int, default=None,
+              help="number of variables (default: inferred)"),
+    "report": dict(default=None,
+                   help="write the human-readable report to this file"),
+    "split-adjoint": dict(choices=["auto", "yes", "no"], default="auto",
+                          help="map x_j to a_j + i*b_j over hermitian pairs when "
+                               "the expression uses adj() on variables"),
+}
+_EXPR = ("d", "split-adjoint")  # read by _load_expr
+
+
+def _add_options(sp, *names: str) -> None:
+    for name, spec in _OPTIONS.items():
+        if name in names or name == "report":
+            sp.add_argument(f"--{name}", **spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,16 +157,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression at a matrix tuple")
     p.add_argument("expr")
     p.add_argument("--at", required=True, metavar="TUPLE.json")
-    _add_common(p)
+    _add_options(p, "tol", *_EXPR)
 
     p = sub.add_parser("realize", help="build a linear representation")
     p.add_argument("expr")
-    _add_common(p)
+    _add_options(p, *_EXPR)
 
     p = sub.add_parser("full", help="probabilistic pencil fullness test")
     p.add_argument("pencil", metavar="PENCIL.json")
     p.add_argument("--trials", type=int, default=20)
-    _add_common(p)
+    _add_options(p, "seed", "tol")
 
     p = sub.add_parser("extend", help="pencil/domain extension theorems")
     esub = p.add_subparsers(dest="kind", required=True)
@@ -179,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--pencil", required=True)
     q.add_argument("--x", required=True, metavar="X.json")
     q.add_argument("--trials", type=int, default=16)
-    _add_common(q)
+    _add_options(q, "seed", "tol")
 
     q = esub.add_parser("square", help="two-sided completion to invertibility")
     q.add_argument("--pencil", required=True)
@@ -188,50 +184,50 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ypp", required=True)
     q.add_argument("--mode", choices=["sampling", "blocks"], default="sampling")
     q.add_argument("--trials", type=int, default=16)
-    _add_common(q)
+    _add_options(q, "seed", "tol")
 
     q = esub.add_parser("hermitian", help="hermitian domain extension")
     q.add_argument("expr")
     q.add_argument("--x", required=True)
     q.add_argument("--y", default=None)
     q.add_argument("--trials", type=int, default=16)
-    _add_common(q)
+    _add_options(q, "seed", "tol", *_EXPR)
 
     q = esub.add_parser("nonhermitian", help="rectangular domain completion")
     q.add_argument("expr")
     q.add_argument("--x", required=True)
     q.add_argument("--trials", type=int, default=16)
-    _add_common(q)
+    _add_options(q, "seed", "tol", *_EXPR)
 
     p = sub.add_parser("widen", help="largest-hermitian-domain representative")
     p.add_argument("expr")
     p.add_argument("--pencil", default=None,
                    help="realization JSON (u, M, v) overriding the built one")
-    _add_common(p)
+    _add_options(p, "seed", "tol", *_EXPR)
 
     p = sub.add_parser("basis", help="independent basis of the product space")
     p.add_argument("expr")
-    _add_common(p, level_default=1)
+    _add_options(p, "seed", "tol", "level", *_EXPR)
 
     p = sub.add_parser("certify", help="quadratic-module membership certificate")
     p.add_argument("expr")
     p.add_argument("--lmi", default=None, metavar="L.json")
-    _add_common(p, level_default=1)
+    _add_options(p, "seed", "tol", "level", *_EXPR)
 
     p = sub.add_parser("optimize", help="eigenvalue bound on a spectrahedron")
     p.add_argument("expr")
     p.add_argument("--lmi", default=None, metavar="L.json")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--sup", action="store_true")
-    g.add_argument("--inf", action="store_true")
-    _add_common(p, level_default=1)
+    g.add_argument("--sup", dest="direction", action="store_const", const="sup")
+    g.add_argument("--inf", dest="direction", action="store_const", const="inf")
+    _add_options(p, "seed", "tol", "level", *_EXPR)
 
     p = sub.add_parser("export-sdpa", help="write the membership SDP as .dat-s")
     p.add_argument("expr")
     p.add_argument("--lmi", default=None, metavar="L.json")
     p.add_argument("--direction", choices=["feas", "sup", "inf"], default="feas")
     p.add_argument("--out", required=True)
-    _add_common(p, level_default=1)
+    _add_options(p, "seed", "tol", "level", *_EXPR)
 
     return ap
 
@@ -373,12 +369,11 @@ def _cmd_certify(args, report) -> int:
 def _cmd_optimize(args, report) -> int:
     r = _load_expr(args.expr, args.d, args.split_adjoint)
     L = _load_pencil(args.lmi, "H")[0] if args.lmi else None
-    direction = "sup" if args.sup else "inf"
-    res = optimize_eig(r, L, direction, level=args.level, seed=args.seed,
+    res = optimize_eig(r, L, args.direction, level=args.level, seed=args.seed,
                        d=args.d, tol=args.tol)
     _emit(res.to_json())
     if res.status == "optimal":
-        report(f"mu = {res.mu:.6f} ({direction}, level {args.level}, "
+        report(f"mu = {res.mu:.6f} ({args.direction}, level {args.level}, "
                f"gap {res.gap:.2e})")
         return EXIT_OK
     report(f"optimization failed: {res.status}")
@@ -415,9 +410,11 @@ _DISPATCH = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     report = _Reporter(args.report)
     try:
         return _DISPATCH[args.cmd](args, report)

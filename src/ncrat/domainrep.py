@@ -79,13 +79,13 @@ def eval_expr_matrix(m: ExprMatrix, X: MatrixTuple, tol: float = RANK_TOL) -> np
     return out
 
 
-def _probably_invertible(m: ExprMatrix, d: int, seed=0, trials: int = 12,
+def _probably_invertible(m: ExprMatrix, d: int, seed=0,
                          tol: float = RANK_TOL) -> bool:
     """Invertibility over the free skew field, checked by random hermitian
-    evaluation at several sizes (false negatives possible only on measure-zero
-    failure of every probe)."""
+    evaluation at 12 probes of sizes 1..3 (false negatives possible only on
+    measure-zero failure of every probe)."""
     rng = np.random.default_rng(seed)
-    for t in range(trials):
+    for t in range(12):
         n = 1 + t % 3
         X = random_tuple(d, n, n, mode="hermitian", rng=rng)
         try:
@@ -97,8 +97,8 @@ def _probably_invertible(m: ExprMatrix, d: int, seed=0, trials: int = 12,
     return False
 
 
-def schur_inverse_rep(m: ExprMatrix, d: int | None = None, check: bool = True,
-                      seed=0, tol: float = RANK_TOL) -> ExprMatrix:
+def schur_inverse_rep(m: ExprMatrix, d: int | None = None, seed=0,
+                      tol: float = RANK_TOL) -> ExprMatrix:
     """A representative of m^{-1} defined on hdom m intersect hdom m^{-1}.
 
     Recursion: for e = 1 invert the entry; otherwise let c be the first
@@ -109,14 +109,10 @@ def schur_inverse_rep(m: ExprMatrix, d: int | None = None, check: bool = True,
         raise ValueError("matrix must be square")
     if d is None:
         d = max((max(ex.variables_used(e), default=0) for e in m.entries), default=0)
-    if check and not _probably_invertible(m, max(d, 1), seed=seed, tol=tol):
+    if not _probably_invertible(m, max(d, 1), seed=seed, tol=tol):
         raise NotInvertibleError("matrix evaluates singularly at all probes")
-    return _matmul(_gram_inverse(m), m.adjoint())
-
-
-def _gram_inverse(m: ExprMatrix) -> ExprMatrix:
-    """Representative of (m*m)^{-1} by the Schur recursion on the (1,1) entry."""
-    return _schur_block_inverse(_matmul(m.adjoint(), m))
+    mstar = m.adjoint()
+    return _matmul(_schur_block_inverse(_matmul(mstar, m)), mstar)
 
 
 def _schur_block_inverse(G: ExprMatrix) -> ExprMatrix:

@@ -172,16 +172,16 @@ def word_matrix(words, tables) -> np.ndarray:
                      for row in zip(*(t.values(words) for t in tables))])
 
 
-def _admits(R: SubexprSet, X: MatrixTuple, tol: float, cap: float = NORM_CAP):
+def _admits(R: SubexprSet, X: MatrixTuple, tol: float):
     """(table, None) when all elements of R are defined at X with norms under
-    the cap; (None, blocking subexpression) if not."""
+    NORM_CAP; (None, blocking subexpression) if not."""
     table = EvalTable(X, tol)
     try:
         vals = table.values(R.exprs)
     except DomainError as err:
         return None, err.subexpr
     for q, val in zip(R.exprs, vals):
-        if norm_max(val) > cap:
+        if norm_max(val) > NORM_CAP:
             return None, q
     return table, None
 

@@ -72,7 +72,7 @@ def is_hermitian(a, tol: float = HERM_TOL) -> bool:
     return bool(np.isfinite(a).all()) and herm_deviation(a) <= tol * max(1.0, norm_max(a))
 
 
-def lu_solve(A, B, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def lu_solve(A, B) -> np.ndarray:
     """Solve A X = B by LU with partial pivoting; rejects tiny pivots."""
     A = _as_matrix(A)
     B = _as_matrix(B)
@@ -84,9 +84,9 @@ def lu_solve(A, B, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < pivot_tol * max(norm_max(A), 1e-300):
+    if np.min(pivots) < PIVOT_TOL * max(norm_max(A), 1e-300):
         raise SingularMatrixError(
-            f"singular matrix: pivot {np.min(pivots):.3e} below {pivot_tol:.1e}*max|A|"
+            f"singular matrix: pivot {np.min(pivots):.3e} below {PIVOT_TOL:.1e}*max|A|"
         )
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
 

@@ -139,10 +139,9 @@ def _augment_R(r: Expr, d: int) -> SubexprSet:
     return SubexprSet(r, tuple(exprs))
 
 
-def _check_hermitian_function(r: Expr, d: int, rng, tol: float,
-                              trials: int = 12) -> None:
+def _check_hermitian_function(r: Expr, d: int, rng, tol: float) -> None:
     checked = 0
-    for t in range(trials):
+    for t in range(12):
         n = 1 + t % 3
         X = random_tuple(d, n, n, mode="hermitian", rng=rng)
         try:
@@ -418,21 +417,20 @@ def optimize_eig(r: Expr, L: HomogeneousPencil | None = None,
     return OptResult(float(sol.free[0]), "optimal", cert, level, sol.gap)
 
 
-def find_violation(r: Expr, L: HomogeneousPencil | None = None,
-                   budget: int = 200, max_size: int = 4, seed=0,
+def find_violation(r: Expr, L: HomogeneousPencil | None = None, seed=0,
                    d: int | None = None,
                    tol: float = RANK_TOL) -> MatrixTuple | None:
     """Random search for X in the spectrahedron of the monic LMI
     L = (I, H1..Hk) with r(X) not PSD: the smallest eigenvalue of its
     hermitian part below -1e-9.  X must be in r's domain at tol.
 
-    Returns the first witness found, or None (inconclusive) on budget
-    exhaustion.
+    Returns the first witness found among 200 random tuples of sizes
+    1..4, or None (inconclusive).
     """
     d, L = _pad_lmi(r, L, d)
     rng = np.random.default_rng(seed)
-    for t in range(budget):
-        n = 1 + t % max_size
+    for t in range(200):
+        n = 1 + t % 4
         X = random_tuple(d, n, n, mode="hermitian", rng=rng)
         if L is not None:
             LX = affine_eval(L, X)

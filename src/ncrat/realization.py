@@ -39,11 +39,14 @@ class DomainError(ArithmeticError):
     """An inverse node is singular at the evaluated tuple."""
 
     def __init__(self, subexpr: Expr, sigma_min: float):
-        super().__init__(
-            f"singular inverse at subexpression {ex.to_str(subexpr)} (sigma_min {sigma_min:.3e})"
-        )
+        super().__init__(subexpr, sigma_min)
         self.subexpr = subexpr
         self.sigma_min = sigma_min
+
+    def __str__(self) -> str:
+        # most raises are caught and dropped, so the text is built on demand
+        return (f"singular inverse at subexpression {ex.to_str(self.subexpr)} "
+                f"(sigma_min {self.sigma_min:.3e})")
 
 
 @dataclass(frozen=True)

@@ -101,3 +101,13 @@ def test_pencil_extend_jobs_pass(workloads, tmp_path):
     # methods, which no other test reaches through the harness; about 0.3 s
     for job in workloads.build("pencil-extend", 0, str(tmp_path)):
         assert job.check(job.run()) is None, job.name
+
+
+def test_jammed_sdp_random_solve_passes(workloads, tmp_path):
+    # with one BLAS thread the iteration jams on this instance at a gap just
+    # above TOL_GAP, its steps collapsing to 1e-8 and below, and stops at a
+    # breakdown; judged at ACCEPT_TOL, the iterate it stopped at is optimal
+    # and passes the KKT checker
+    job = next(j for j in workloads.build("sdp-random", 12, str(tmp_path))
+               if j.name.startswith("solve #9 "))
+    assert job.check(job.run()) is None

@@ -69,6 +69,11 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
 
+    def test_empty_sampling_domain_numeric(self, capsys):
+        code, out, err = _run(capsys, ["basis", "inv(x1-x1)"])
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert "blocking subexpression: inv(x1-x1)" in err
+
     def test_parse_error_usage(self, capsys, fixtures):
         code, _, err = _run(capsys, ["eval", "x1 +", "--at", fixtures["x.json"]])
         assert code == EXIT_USAGE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncrat import expr as ex
+from ncrat import extension
 from ncrat.extension import (
     BoundExhaustedError,
     HypothesisError,
@@ -14,7 +15,13 @@ from ncrat.extension import (
     extend_square,
     remark_bound,
 )
-from ncrat.numkernel import MatrixTuple, herm_deviation, random_tuple, sigma_extremes
+from ncrat.numkernel import (
+    RANK_TOL,
+    MatrixTuple,
+    herm_deviation,
+    random_tuple,
+    sigma_extremes,
+)
 from ncrat.pencil import HomogeneousPencil, affine_eval, rank_conditions, rect_eval
 from ncrat.realization import build_realization, in_domain
 
@@ -116,6 +123,30 @@ class TestExtendSquare:
             Dr = np.diag(np.repeat([1.0, 1.0, eps, eps, eps], [ell, w1, ell, m, k2]))
             for j in range(Y.d):
                 assert np.array_equal(T[j], Dl @ T1[j] @ Dr), f"eps={eps}"
+
+    @pytest.mark.parametrize("grown", [0, 1])  # column, row instance
+    def test_blocks_mode_equalizes_sizes(self, rng, monkeypatch, grown):
+        # one one-sided completion comes back one size larger than it would;
+        # the other is redone at that size, and the assembly stays invertible
+        Y, Yp, Ypp = _square_instance(rng)
+        forced = []
+
+        def side(L, X, seed=0, trials=16, tol=RANK_TOL, forced_n=None):
+            forced.append(forced_n)
+            out = extend_side(L, X, seed=seed, trials=trials, tol=tol, forced_n=forced_n)
+            if len(forced) == grown + 1:
+                out = extend_side(L, X, seed=seed, trials=trials, tol=tol,
+                                  forced_n=out.n + 1)
+            return out
+
+        monkeypatch.setattr(extension, "extend_side", side)
+        p = extend_square(L2, Y, Yp, Ypp, mode="blocks", seed=0).parts
+        k = forced[2]
+        assert forced[:2] == [None, None] and k is not None and len(forced) == 3
+        assert p["Cp"].rows == p["Cpp"].cols == k
+        for eps in (1.0, 0.5):
+            smin, smax = sigma_extremes(rect_eval(L2, eps_assembly(Y, Yp, Ypp, p, eps)))
+            assert smin > 1e-9 * smax, f"eps={eps}"
 
     def test_rank_conditions_enforced(self):
         Z = MatrixTuple((np.zeros((2, 2)), np.zeros((2, 2))))

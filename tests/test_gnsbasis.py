@@ -15,7 +15,7 @@ from ncrat.gnsbasis import (
     inner_product,
     sample_points,
 )
-from ncrat.numkernel import RANK_TOL, hermitian_eig, random_tuple
+from ncrat.numkernel import RANK_TOL, MatrixTuple, hermitian_eig, random_tuple
 from ncrat.realization import eval_expr, eval_exprs
 
 
@@ -146,6 +146,24 @@ class TestSamplePoints:
             assert all(q in t.memo for q in R.exprs)
             for q, val in zip(R.exprs, t.values(R.exprs)):
                 assert np.array_equal(val, eval_expr(q, t.X))
+
+
+    def test_norm_cap_rejects(self):
+        inv = ex.parse("inv(x1)", d=1)
+        R = build_R(inv)
+        # 1e-7 I is invertible, but its inverse is over NORM_CAP
+        small = MatrixTuple((1e-7 * np.eye(2),), hermitian=True)
+        assert gnsbasis._admits(R, small, RANK_TOL) == (None, inv)
+        table, blocking = gnsbasis._admits(R, MatrixTuple((np.eye(2),), hermitian=True),
+                                           RANK_TOL)
+        assert blocking is None and table is not None
+
+    def test_empty_domain_raises_with_blocking_subexpression(self, rng):
+        r = ex.parse("inv(x1-x1)", d=1)
+        with pytest.raises(SamplingError) as exc:
+            sample_points(build_R(r), [1], rng)
+        assert exc.value.blocking is r
+        assert "after 200 trials (blocking subexpression: inv(x1-x1))" in str(exc.value)
 
 
 class TestBuildBasis:

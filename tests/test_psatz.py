@@ -13,6 +13,7 @@ from ncrat.gnsbasis import build_R, build_basis, independent_words
 from ncrat.numkernel import MatrixTuple, matrix_to_json, random_tuple
 from ncrat.pencil import HomogeneousPencil, affine_eval
 from ncrat.realization import eval_expr
+from ncrat.sdpcore import SDPSolution
 from ncrat.psatz import (
     build_sdp,
     certify_qm,
@@ -114,6 +115,23 @@ class TestOptimize:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             optimize_eig(ex.var(1), INTERVAL, direction="max")
+
+    @pytest.mark.parametrize("solver, direction, status, mu", [
+        ("infeasible", "sup", "infeasible-at-level", None),
+        ("infeasible", "inf", "infeasible-at-level", None),
+        ("unbounded", "sup", "unbounded-at-level", -np.inf),
+        ("unbounded", "inf", "unbounded-at-level", np.inf),
+    ])
+    def test_solver_status_mapped(self, monkeypatch, solver, direction, status, mu):
+        def solve(prob):
+            return SDPSolution(
+                tuple(np.eye(n) for n in prob.block_dims), np.zeros(prob.nfree),
+                np.zeros(prob.m), 0.0, 0.0, 0.25, 0.0, 0.0, 7, solver)
+
+        monkeypatch.setattr(psatz, "solve", solve)
+        out = optimize_eig(ex.var(1), INTERVAL, direction=direction, level=1, seed=0)
+        assert (out.status, out.certificate, out.level, out.gap) == (status, None, 1, 0.25)
+        assert np.isnan(out.mu) if mu is None else out.mu == mu
 
     def test_failed_validation_not_optimal(self, monkeypatch):
         # an optimal SDP whose certificate misses the held-out samples

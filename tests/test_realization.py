@@ -109,6 +109,20 @@ class TestDomain:
             eval_expr(r, X)
         assert info.value.subexpr == ex.inv(inner)
 
+    def test_domain_error_message_built_on_demand(self, monkeypatch):
+        r = ex.parse("2+inv(x1)", d=1)
+        X = MatrixTuple((np.zeros((2, 2)),), hermitian=True)
+        to_str = ex.to_str
+        calls = []
+        monkeypatch.setattr(ex, "to_str", lambda e: calls.append(e) or to_str(e))
+        with pytest.raises(DomainError) as info:
+            eval_expr(r, X)
+        assert calls == []  # raising formats nothing
+        err = info.value
+        assert err.subexpr is ex.parse("inv(x1)") and err.sigma_min == 0.0
+        assert str(err) == "singular inverse at subexpression inv(x1) (sigma_min 0.000e+00)"
+        assert calls == [err.subexpr]
+
 
 class TestPencil:
     def test_affine_pencil_eval(self, rng):

@@ -354,6 +354,28 @@ class TestStepRule:
             assert close(sol.dual, z)
 
 
+class TestLastIterate:
+    """solve returns the iterate it stopped at and judges its status there;
+    no earlier iterate is returned in its place."""
+
+    @pytest.mark.parametrize("k, status", [(4, "max-iterations"), (6, "optimal")])
+    def test_iteration_cap(self, monkeypatch, k, status):
+        p = _simple([np.eye(2)], (_con([E11], rhs=1.0),), dims=(2,))
+        assert solve(p).iterations == 7  # converged at the 7th check
+        monkeypatch.setattr(sdpcore, "MAX_ITER", k)
+        sol = solve(p)
+        # the last check saw an iterate short of the tolerances, within
+        # ACCEPT_TOL exactly when the status reads optimal
+        metric = max(sol.gap, sol.primal_feas, sol.dual_feas)
+        assert metric > sdpcore.TOL_GAP
+        assert (metric <= sdpcore.ACCEPT_TOL) == (status == "optimal")
+        assert (sol.status, sol.iterations) == (status, k)
+        X, _, z = _ref_hkm(p, k)
+        # the iterates before the last differ from it by at least 3e-9
+        for got, want in [*zip(sol.blocks, X), (sol.dual, z)]:
+            assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
 def _lower_factor(rng, n, complex_):
     G = rng.standard_normal((n, n))
     if complex_:
